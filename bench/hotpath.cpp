@@ -123,42 +123,6 @@ void hotpath_quantize(benchkit::State& state) {
   }
 }
 
-void hotpath_morton(benchkit::State& state) {
-  const bool simd = want_simd(state);
-  if (state.skipped()) return;
-
-  state.pause_timing();
-  constexpr std::size_t kKeys = 200000;
-  constexpr int kRounds = 20;
-  geom::SplitMix64 rng(73);
-  std::vector<uint16_t> x(kKeys), y(kKeys), z(kKeys);
-  for (std::size_t i = 0; i < kKeys; ++i) {
-    x[i] = static_cast<uint16_t>(rng.next_below(0x10000));
-    y[i] = static_cast<uint16_t>(rng.next_below(0x10000));
-    z[i] = static_cast<uint16_t>(rng.next_below(0x10000));
-  }
-  std::vector<uint64_t> morton(kKeys), packed(kKeys);
-  const auto morton_fn = simd ? &kernels::morton48_batch : &kernels::morton48_batch_scalar;
-  const auto packed_fn = simd ? &kernels::packed48_batch : &kernels::packed48_batch_scalar;
-  state.resume_timing();
-
-  for (int round = 0; round < kRounds; ++round) {
-    morton_fn(x.data(), y.data(), z.data(), kKeys, morton.data());
-    packed_fn(x.data(), y.data(), z.data(), kKeys, packed.data());
-  }
-  // Each round derives both codes for every key.
-  state.set_items_processed(static_cast<uint64_t>(kKeys) * kRounds * 2);
-
-  if (simd) {
-    state.pause_timing();
-    std::vector<uint64_t> ref_morton(kKeys), ref_packed(kKeys);
-    kernels::morton48_batch_scalar(x.data(), y.data(), z.data(), kKeys, ref_morton.data());
-    kernels::packed48_batch_scalar(x.data(), y.data(), z.data(), kKeys, ref_packed.data());
-    state.check("bitwise_matches_scalar", ref_morton == morton && ref_packed == packed);
-    state.resume_timing();
-  }
-}
-
 void hotpath_logodds(benchkit::State& state) {
   const bool simd = want_simd(state);
   if (state.skipped()) return;
@@ -272,7 +236,6 @@ void hotpath_insert_e2e(benchkit::State& state) {
 
 OMU_BENCHMARK(hotpath_ray_prepare).axis("impl", std::vector<std::string>{"scalar", "simd"});
 OMU_BENCHMARK(hotpath_quantize).axis("impl", std::vector<std::string>{"scalar", "simd"});
-OMU_BENCHMARK(hotpath_morton).axis("impl", std::vector<std::string>{"scalar", "simd"});
 OMU_BENCHMARK(hotpath_logodds).axis("impl", std::vector<std::string>{"scalar", "simd"});
 OMU_BENCHMARK(hotpath_dda).axis("impl", std::vector<std::string>{"per_ray", "batch"});
 OMU_BENCHMARK(hotpath_insert_e2e)

@@ -11,7 +11,6 @@
 #include "geom/rng.hpp"
 #include "map/occupancy_octree.hpp"
 #include "map/ray_keys.hpp"
-#include "map/scan_inserter.hpp"
 
 namespace {
 
@@ -106,37 +105,10 @@ void micro_pe_query(benchkit::State& state) {
                     static_cast<double>(cycles) / static_cast<double>(kOps));
 }
 
-void micro_scan_insert(benchkit::State& state) {
-  const bool dedup = state.param("mode") == "discretized";
-  state.pause_timing();
-  geom::SplitMix64 rng(6);
-  geom::PointCloud cloud;
-  for (int i = 0; i < 1000; ++i) {
-    cloud.push_back(geom::Vec3f{static_cast<float>(rng.uniform(-4, 4)),
-                                static_cast<float>(rng.uniform(-4, 4)),
-                                static_cast<float>(rng.uniform(-1, 1))});
-  }
-  state.resume_timing();
-  constexpr int kScans = 20;
-  uint64_t leaves = 0;
-  for (int s = 0; s < kScans; ++s) {
-    map::OccupancyOctree tree(0.2);
-    map::InsertPolicy policy;
-    policy.mode = dedup ? map::InsertMode::kDiscretized : map::InsertMode::kRayByRay;
-    map::ScanInserter inserter(tree, policy);
-    inserter.insert_scan(cloud, {0, 0, 0});
-    leaves += tree.leaf_count();
-  }
-  state.set_items_processed(static_cast<uint64_t>(kScans) * 1000);  // points
-  state.set_counter("leaves_per_scan", static_cast<double>(leaves) / kScans);
-}
-
 OMU_BENCHMARK(micro_octree_update).axis("span", std::vector<int64_t>{32, 256, 2048});
 OMU_BENCHMARK(micro_octree_query);
 OMU_BENCHMARK(micro_ray_keys).axis("len", std::vector<std::string>{"2", "8", "30"});
 OMU_BENCHMARK(micro_pe_update);
 OMU_BENCHMARK(micro_pe_query);
-OMU_BENCHMARK(micro_scan_insert)
-    .axis("mode", std::vector<std::string>{"ray_by_ray", "discretized"});
 
 }  // namespace

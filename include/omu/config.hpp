@@ -17,13 +17,6 @@
 //           .backend(omu::BackendKind::kSharded)
 //           .sharded({.threads = 4}));
 //
-// The pre-0.6 flat setters (threads, queue_depth, world_directory,
-// resident_byte_budget, tile_shift) still compile: they forward into the
-// nested option structs and warn once per process on first use. Mixing a
-// flat setter with its nested group in one config is rejected by
-// validate() — the two spellings of the same knob would silently shadow
-// each other otherwise.
-//
 // This header is part of the installed public API and must stay
 // self-contained: it may include only the C++ standard library and other
 // include/omu/ headers (internal types appear as forward declarations
@@ -157,7 +150,6 @@ class MapperConfig {
   /// whose back_backend is kSharded).
   MapperConfig& sharded(const ShardedOptions& options) {
     sharded_ = options;
-    nested_sharded_ = true;
     return *this;
   }
 
@@ -165,7 +157,6 @@ class MapperConfig {
   /// back_backend is kTiledWorld).
   MapperConfig& world(const WorldOptions& options) {
     world_ = options;
-    nested_world_ = true;
     return *this;
   }
 
@@ -197,22 +188,6 @@ class MapperConfig {
   /// caveat as Mapper's internal_*() accessors.
   MapperConfig& accelerator_config(const accel::OmuConfig& config);
 
-  // ---- Deprecated flat setters (pre-0.6 spelling) ------------------------
-  // Each forwards into its nested options group and warns once per
-  // process on first use; validate() rejects a config that mixes a flat
-  // setter with its nested group. New code: sharded({...}) / world({...}).
-
-  /// \deprecated Use sharded(ShardedOptions{.threads = ...}).
-  MapperConfig& threads(std::size_t count);
-  /// \deprecated Use sharded(ShardedOptions{.queue_depth = ...}).
-  MapperConfig& queue_depth(std::size_t depth);
-  /// \deprecated Use world(WorldOptions{.resident_byte_budget = ...}).
-  MapperConfig& resident_byte_budget(std::size_t bytes);
-  /// \deprecated Use world(WorldOptions{.directory = ...}).
-  MapperConfig& world_directory(std::string directory);
-  /// \deprecated Use world(WorldOptions{.tile_shift = ...}).
-  MapperConfig& tile_shift(int shift);
-
   // ---- Getters -----------------------------------------------------------
 
   double resolution() const { return resolution_; }
@@ -226,27 +201,11 @@ class MapperConfig {
   /// Non-null when accelerator_config() was used.
   const accel::OmuConfig* accelerator_config() const { return accel_config_.get(); }
 
-  // Flat convenience getters (read the nested groups; never warn).
-  std::size_t threads() const { return sharded_.threads; }
-  std::size_t queue_depth() const { return sharded_.queue_depth; }
-  std::size_t resident_byte_budget() const { return world_.resident_byte_budget; }
-  const std::string& world_directory() const { return world_.directory; }
-  int tile_shift() const { return world_.tile_shift; }
-
   /// Checks the whole configuration; the returned error names the first
   /// offending field and the value it held. Mapper::create calls this.
   Status validate() const;
 
  private:
-  // Which deprecated flat setters were called (for the mixed-API check).
-  enum LegacyField : uint8_t {
-    kLegacyThreads = 1u << 0,
-    kLegacyQueueDepth = 1u << 1,
-    kLegacyBudget = 1u << 2,
-    kLegacyDirectory = 1u << 3,
-    kLegacyTileShift = 1u << 4,
-  };
-
   double resolution_ = 0.2;
   BackendKind backend_ = BackendKind::kOctree;
   SensorModel sensor_model_{};
@@ -258,10 +217,7 @@ class MapperConfig {
   // shared_ptr so MapperConfig stays copyable with only a forward
   // declaration of the internal type (the control block owns the deleter).
   std::shared_ptr<const accel::OmuConfig> accel_config_;
-  bool nested_sharded_ = false;  ///< sharded({...}) was called
-  bool nested_world_ = false;    ///< world({...}) was called
-  bool hybrid_set_ = false;      ///< hybrid({...}) was called
-  uint8_t legacy_fields_ = 0;    ///< LegacyField bits of flat setters used
+  bool hybrid_set_ = false;  ///< hybrid({...}) was called
 };
 
 }  // namespace omu

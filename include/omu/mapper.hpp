@@ -148,21 +148,6 @@ class Mapper {
     return insert(rays.empty() ? nullptr : rays.data(), rays.size());
   }
 
-  // Legacy ingest names (pre-0.6): thin forwarders to insert().
-
-  /// \deprecated Use insert(xyz, point_count, origin).
-  Status insert_scan(const float* xyz, std::size_t point_count, const Vec3& origin) {
-    return insert(xyz, point_count, origin);
-  }
-  /// \deprecated Use insert(points, origin).
-  Status insert_scan(const std::vector<Point>& points, const Vec3& origin) {
-    return insert(points, origin);
-  }
-  /// \deprecated Use insert(rays, ray_count).
-  Status insert_rays(const Ray* rays, std::size_t ray_count) { return insert(rays, ray_count); }
-  /// \deprecated Use insert(rays).
-  Status insert_rays(const std::vector<Ray>& rays) { return insert(rays); }
-
   /// Retires any asynchronous backlog (sharded queues, accelerator
   /// pipeline, dirty tiles) and publishes a fresh snapshot/view — the
   /// epoch boundary snapshot() readers observe.

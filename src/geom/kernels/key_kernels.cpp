@@ -6,15 +6,8 @@
 
 namespace omu::geom::kernels {
 
-void morton48_batch_scalar(const uint16_t* x, const uint16_t* y, const uint16_t* z,
-                           std::size_t n, uint64_t* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = morton48(x[i], y[i], z[i]);
-  }
-}
-
-void packed48_batch_scalar(const uint16_t* x, const uint16_t* y, const uint16_t* z,
-                           std::size_t n, uint64_t* out) {
+void packed48_batch(const uint16_t* x, const uint16_t* y, const uint16_t* z, std::size_t n,
+                    uint64_t* out) {
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = packed48(x[i], y[i], z[i]);
   }
@@ -32,55 +25,6 @@ void quantize_axis_scalar(const double* x, std::size_t n, double inv_res, int32_
 }
 
 #if OMU_KERNELS_SSE2
-
-namespace {
-
-// Widens a pair of 16-bit keys sitting in the low 64-bit lanes of `v`
-// (one key per lane, zero-extended) — callers load via set_epi64x.
-inline __m128i part1by2_16_x2(__m128i v) {
-  const __m128i m0 = _mm_set_epi64x(0x0000'0000'FF00'00FFll, 0x0000'0000'FF00'00FFll);
-  const __m128i m1 = _mm_set_epi64x(0x0000'00F0'0F00'F00Fll, 0x0000'00F0'0F00'F00Fll);
-  const __m128i m2 = _mm_set_epi64x(0x0000'0C30'C30C'30C3ll, 0x0000'0C30'C30C'30C3ll);
-  const __m128i m3 = _mm_set_epi64x(0x0000'2492'4924'9249ll, 0x0000'2492'4924'9249ll);
-  v = _mm_and_si128(_mm_or_si128(v, _mm_slli_epi64(v, 16)), m0);
-  v = _mm_and_si128(_mm_or_si128(v, _mm_slli_epi64(v, 8)), m1);
-  v = _mm_and_si128(_mm_or_si128(v, _mm_slli_epi64(v, 4)), m2);
-  v = _mm_and_si128(_mm_or_si128(v, _mm_slli_epi64(v, 2)), m3);
-  return v;
-}
-
-inline __m128i load_keys_x2(const uint16_t* k, std::size_t i) {
-  return _mm_set_epi64x(static_cast<long long>(k[i + 1]), static_cast<long long>(k[i]));
-}
-
-}  // namespace
-
-void morton48_batch(const uint16_t* x, const uint16_t* y, const uint16_t* z, std::size_t n,
-                    uint64_t* out) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i mx = part1by2_16_x2(load_keys_x2(x, i));
-    const __m128i my = part1by2_16_x2(load_keys_x2(y, i));
-    const __m128i mz = part1by2_16_x2(load_keys_x2(z, i));
-    const __m128i m =
-        _mm_or_si128(mx, _mm_or_si128(_mm_slli_epi64(my, 1), _mm_slli_epi64(mz, 2)));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), m);
-  }
-  morton48_batch_scalar(x + i, y + i, z + i, n - i, out + i);
-}
-
-void packed48_batch(const uint16_t* x, const uint16_t* y, const uint16_t* z, std::size_t n,
-                    uint64_t* out) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i px = load_keys_x2(x, i);
-    const __m128i py = _mm_slli_epi64(load_keys_x2(y, i), 16);
-    const __m128i pz = _mm_slli_epi64(load_keys_x2(z, i), 32);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     _mm_or_si128(px, _mm_or_si128(py, pz)));
-  }
-  packed48_batch_scalar(x + i, y + i, z + i, n - i, out + i);
-}
 
 void quantize_axis(const double* x, std::size_t n, double inv_res, int32_t key_origin,
                    uint16_t* key_out, uint8_t* valid_out) {
@@ -122,16 +66,6 @@ void quantize_axis(const double* x, std::size_t n, double inv_res, int32_t key_o
 }
 
 #else  // !OMU_KERNELS_SSE2
-
-void morton48_batch(const uint16_t* x, const uint16_t* y, const uint16_t* z, std::size_t n,
-                    uint64_t* out) {
-  morton48_batch_scalar(x, y, z, n, out);
-}
-
-void packed48_batch(const uint16_t* x, const uint16_t* y, const uint16_t* z, std::size_t n,
-                    uint64_t* out) {
-  packed48_batch_scalar(x, y, z, n, out);
-}
 
 void quantize_axis(const double* x, std::size_t n, double inv_res, int32_t key_origin,
                    uint16_t* key_out, uint8_t* valid_out) {

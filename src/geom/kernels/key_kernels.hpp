@@ -9,9 +9,10 @@
 // one shift+mask per level instead of three.
 //
 // The kernels are layer-pure: they know nothing about OcKey or KeyCoder
-// (the map layer bridges), only raw uint16/double spans. Every batch entry
-// point has a `_scalar` reference variant; the unsuffixed name dispatches
-// to SSE2 when OMU_SIMD is on (see simd.hpp for the bit-identity contract).
+// (the map layer bridges), only raw uint16/double spans. A batch entry
+// point with an SSE2 variant also has a `_scalar` reference; the
+// unsuffixed name dispatches to SSE2 when OMU_SIMD is on (see simd.hpp for
+// the bit-identity contract).
 #pragma once
 
 #include <cstddef>
@@ -45,15 +46,8 @@ constexpr uint64_t packed48(uint16_t x, uint16_t y, uint16_t z) {
          (static_cast<uint64_t>(z) << 32);
 }
 
-/// Batch Morton interleave: out[i] = morton48(x[i], y[i], z[i]).
-void morton48_batch_scalar(const uint16_t* x, const uint16_t* y, const uint16_t* z,
-                           std::size_t n, uint64_t* out);
-void morton48_batch(const uint16_t* x, const uint16_t* y, const uint16_t* z, std::size_t n,
-                    uint64_t* out);
-
 /// Batch packed-key computation: out[i] = packed48(x[i], y[i], z[i]).
-void packed48_batch_scalar(const uint16_t* x, const uint16_t* y, const uint16_t* z,
-                           std::size_t n, uint64_t* out);
+/// Scalar only: an SSE2 variant measured no faster.
 void packed48_batch(const uint16_t* x, const uint16_t* y, const uint16_t* z, std::size_t n,
                     uint64_t* out);
 

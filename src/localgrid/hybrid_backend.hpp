@@ -93,10 +93,6 @@ class HybridMapBackend final : public map::MapBackend {
   std::vector<map::LeafRecord> leaves_sorted() const override { return back_->leaves_sorted(); }
   uint64_t content_hash() const override { return back_->content_hash(); }
 
-  map::MapSnapshotData export_snapshot_data() const override {
-    return back_->export_snapshot_data();
-  }
-
   /// Snapshot publication is a flush boundary: drains the window, then
   /// delegates the delta export to the back (whose dirty tracking sees the
   /// aggregated flush like any other mutation).

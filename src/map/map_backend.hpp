@@ -110,13 +110,12 @@ class MapBackend {
   /// (up to hash collision). Backends with a native hash may override.
   virtual uint64_t content_hash() const;
 
-  /// Snapshot export hook: the canonical leaf list plus query parameters,
+  /// Full snapshot export: the canonical leaf list plus query parameters,
   /// the input of query::MapSnapshot::build. Reflects the updates applied
-  /// so far — flush() first for a point-in-time snapshot. Asynchronous
-  /// backends whose leaf export is not safe against a concurrent apply()
-  /// may override (the sharded pipeline locks its shards; the default just
-  /// composes the virtuals above).
-  virtual MapSnapshotData export_snapshot_data() const {
+  /// so far — flush() first for a point-in-time snapshot. Composes the
+  /// virtuals above; a backend whose leaf export must be safe against a
+  /// concurrent apply() makes leaves_sorted() so.
+  MapSnapshotData export_snapshot_data() const {
     return MapSnapshotData{leaves_sorted(), coder().resolution(), occupancy_params()};
   }
 

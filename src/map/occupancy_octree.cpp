@@ -9,6 +9,7 @@
 #include "geom/kernels/key_kernels.hpp"
 #include "geom/kernels/logodds_kernels.hpp"
 #include "geom/kernels/simd.hpp"
+#include "io/framing.hpp"
 #include "obs/trace.hpp"
 
 namespace omu::map {
@@ -686,17 +687,12 @@ uint64_t OccupancyOctree::content_hash() const {
 }
 
 uint64_t hash_leaf_records(const std::vector<LeafRecord>& records) {
-  uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a offset basis
-  const auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 0x100000001B3ULL;
-    }
-  };
+  uint64_t h = io::kFnv1aOffsetBasis;
   for (const LeafRecord& rec : records) {
-    mix(rec.key.packed());
-    mix(static_cast<uint64_t>(rec.depth));
-    mix(static_cast<uint64_t>(geom::Fixed16::from_float(rec.log_odds).raw()) & 0xFFFF);
+    h = io::fnv1a_mix_u64(h, rec.key.packed());
+    h = io::fnv1a_mix_u64(h, static_cast<uint64_t>(rec.depth));
+    h = io::fnv1a_mix_u64(
+        h, static_cast<uint64_t>(geom::Fixed16::from_float(rec.log_odds).raw()) & 0xFFFF);
   }
   return h;
 }

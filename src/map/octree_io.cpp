@@ -1,71 +1,41 @@
 #include "map/octree_io.hpp"
 
-#include <algorithm>
-#include <cstring>
 #include <fstream>
-#include <istream>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+
+#include "io/framing.hpp"
 
 namespace omu::map {
 
 namespace {
 
-// Format v2: magic + u64 payload size + payload + u64 FNV-1a of the
-// payload. The trailing checksum turns any bit corruption — not just
-// structural damage — into a clean read error instead of a silently
-// different map. v1 files (unframed, no checksum) are still readable.
-constexpr char kMagic[8] = {'O', 'M', 'U', 'T', 'R', 'E', 'E', '2'};
-constexpr char kMagicV1[8] = {'O', 'M', 'U', 'T', 'R', 'E', 'E', '1'};
+// Format v2 is the shared io::write_frame layout (see io/framing.hpp). v1
+// files (unframed, no checksum) are still readable.
+constexpr std::string_view kMagic = "OMUTREE2";
+constexpr std::string_view kMagicV1 = "OMUTREE1";
+constexpr std::string_view kLabel = "OctreeIo";
 
 /// Upper bound on a plausible serialized tree (the 5-byte/node payload of
 /// a fully expanded pool would be far below this); anything larger is a
 /// corrupt size field and must not be handed to the allocator.
 constexpr uint64_t kMaxPayloadBytes = uint64_t{1} << 32;
 
-template <typename T>
-void write_pod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!is) throw std::runtime_error("OctreeIo: truncated stream");
-  return v;
-}
-
-uint64_t fnv1a(const std::string& bytes) {
-  uint64_t h = 0xCBF29CE484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
 }  // namespace
 
 void OctreeIo::write(const OccupancyOctree& tree, std::ostream& os) {
   std::ostringstream payload(std::ios::binary);
-  write_pod(payload, tree.resolution());
+  io::write_pod(payload, tree.resolution());
   const OccupancyParams& p = tree.params();
-  write_pod(payload, p.log_hit);
-  write_pod(payload, p.log_miss);
-  write_pod(payload, p.clamp_min);
-  write_pod(payload, p.clamp_max);
-  write_pod(payload, p.occ_threshold);
-  write_pod(payload, static_cast<uint8_t>(p.quantized ? 1 : 0));
+  io::write_pod(payload, p.log_hit);
+  io::write_pod(payload, p.log_miss);
+  io::write_pod(payload, p.clamp_min);
+  io::write_pod(payload, p.clamp_max);
+  io::write_pod(payload, p.occ_threshold);
+  io::write_pod(payload, static_cast<uint8_t>(p.quantized ? 1 : 0));
   write_recurs(tree, 0, payload);
-
-  const std::string bytes = std::move(payload).str();
-  os.write(kMagic, sizeof(kMagic));
-  write_pod(os, static_cast<uint64_t>(bytes.size()));
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  write_pod(os, fnv1a(bytes));
-  if (!os) throw std::runtime_error("OctreeIo: write failure");
+  io::write_frame(os, kMagic, std::move(payload).str(), kLabel);
 }
 
 void OctreeIo::write_recurs(const OccupancyOctree& tree, int32_t node_idx, std::ostream& os) {
@@ -73,61 +43,39 @@ void OctreeIo::write_recurs(const OccupancyOctree& tree, int32_t node_idx, std::
   // state() maps the arena's children-field sentinels back to the v1/v2
   // state byte (0 unknown, 1 leaf, 2 inner) — the on-disk format is
   // unchanged by the arena node layout.
-  write_pod(os, static_cast<uint8_t>(node.state()));
+  io::write_pod(os, static_cast<uint8_t>(node.state()));
   if (node.is_unknown()) return;
-  write_pod(os, node.value);
+  io::write_pod(os, node.value);
   if (node.is_inner()) {
     for (int i = 0; i < 8; ++i) write_recurs(tree, node.children + i, os);
   }
 }
 
 OccupancyOctree OctreeIo::read(std::istream& is) {
-  char magic[8];
+  char magic[io::kMagicBytes];
   is.read(magic, sizeof(magic));
-  if (!is) throw std::runtime_error("OctreeIo: bad magic");
-  if (std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) == 0) {
+  if (is && std::string_view(magic, sizeof(magic)) == kMagicV1) {
     // Legacy v1: the node stream follows the header directly, unframed and
     // without a checksum — corruption detection is structural only.
     return read_payload(is);
   }
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+  if (!is || std::string_view(magic, sizeof(magic)) != kMagic) {
     throw std::runtime_error("OctreeIo: bad magic");
   }
-  const auto payload_size = read_pod<uint64_t>(is);
-  if (payload_size > kMaxPayloadBytes) {
-    throw std::runtime_error("OctreeIo: implausible payload size (corrupt stream)");
-  }
-  // Read in bounded chunks so a corrupt (inflated) size field fails on the
-  // actual stream length instead of committing a giant upfront allocation.
-  std::string bytes;
-  char chunk[64 * 1024];
-  for (uint64_t remaining = payload_size; remaining > 0;) {
-    const auto n = static_cast<std::streamsize>(
-        std::min<uint64_t>(remaining, sizeof(chunk)));
-    is.read(chunk, n);
-    if (!is) throw std::runtime_error("OctreeIo: truncated stream");
-    bytes.append(chunk, static_cast<std::size_t>(n));
-    remaining -= static_cast<uint64_t>(n);
-  }
-  const auto stored_hash = read_pod<uint64_t>(is);
-  if (stored_hash != fnv1a(bytes)) {
-    throw std::runtime_error("OctreeIo: checksum mismatch (corrupt stream)");
-  }
-
-  std::istringstream payload(std::move(bytes), std::ios::binary);
+  std::istringstream payload(io::read_frame_body(is, kMaxPayloadBytes, kLabel), std::ios::binary);
   return read_payload(payload);
 }
 
 OccupancyOctree OctreeIo::read_payload(std::istream& is) {
-  const double resolution = read_pod<double>(is);
+  const double resolution = io::read_pod<double>(is, kLabel);
   if (!(resolution > 0.0)) throw std::runtime_error("OctreeIo: invalid resolution");
   OccupancyParams p;
-  p.log_hit = read_pod<float>(is);
-  p.log_miss = read_pod<float>(is);
-  p.clamp_min = read_pod<float>(is);
-  p.clamp_max = read_pod<float>(is);
-  p.occ_threshold = read_pod<float>(is);
-  p.quantized = read_pod<uint8_t>(is) != 0;
+  p.log_hit = io::read_pod<float>(is, kLabel);
+  p.log_miss = io::read_pod<float>(is, kLabel);
+  p.clamp_min = io::read_pod<float>(is, kLabel);
+  p.clamp_max = io::read_pod<float>(is, kLabel);
+  p.occ_threshold = io::read_pod<float>(is, kLabel);
+  p.quantized = io::read_pod<uint8_t>(is, kLabel) != 0;
 
   OccupancyOctree tree(resolution, p);
   read_recurs(is, tree, 0, 0);
@@ -135,17 +83,17 @@ OccupancyOctree OctreeIo::read_payload(std::istream& is) {
 }
 
 void OctreeIo::read_recurs(std::istream& is, OccupancyOctree& tree, int32_t node_idx, int depth) {
-  const auto state = static_cast<NodeState>(read_pod<uint8_t>(is));
+  const auto state = static_cast<NodeState>(io::read_pod<uint8_t>(is, kLabel));
   switch (state) {
     case NodeState::kUnknown:
       tree.pool_[static_cast<std::size_t>(node_idx)].make_unknown();
       return;
     case NodeState::kLeaf:
-      tree.pool_[static_cast<std::size_t>(node_idx)].make_leaf(read_pod<float>(is));
+      tree.pool_[static_cast<std::size_t>(node_idx)].make_leaf(io::read_pod<float>(is, kLabel));
       return;
     case NodeState::kInner: {
       if (depth >= kTreeDepth) throw std::runtime_error("OctreeIo: inner node below max depth");
-      const float value = read_pod<float>(is);
+      const float value = io::read_pod<float>(is, kLabel);
       const int32_t base = tree.alloc_block();
       auto& node = tree.pool_[static_cast<std::size_t>(node_idx)];
       node.value = value;
@@ -158,14 +106,12 @@ void OctreeIo::read_recurs(std::istream& is, OccupancyOctree& tree, int32_t node
 }
 
 bool OctreeIo::write_file(const OccupancyOctree& tree, const std::string& path) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) return false;
   try {
-    write(tree, os);
+    io::commit_file(path, [&tree](std::ostream& os) { write(tree, os); }, kLabel);
   } catch (const std::runtime_error&) {
     return false;
   }
-  return static_cast<bool>(os);
+  return true;
 }
 
 std::optional<OccupancyOctree> OctreeIo::read_file(const std::string& path) {

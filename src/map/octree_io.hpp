@@ -4,12 +4,13 @@
 // analogous to OctoMap's .ot format. Round-tripping preserves map content
 // exactly, including pruned-leaf structure and inner-node values.
 //
-// Format v2 frames the payload with its length and a trailing FNV-1a
-// checksum, so truncated or bit-flipped streams are rejected with a clean
-// std::runtime_error — never a crash, never a silently different map
-// (tests/map/test_octree_io.cpp fuzzes both corruption classes). Files
-// written by the v1 format are still readable (structural checks only; no
-// checksum existed to verify).
+// Format v2 is the shared file frame of io/framing.hpp (magic "OMUTREE2",
+// length, payload, trailing FNV-1a), so truncated or bit-flipped streams
+// are rejected with a clean std::runtime_error — never a crash, never a
+// silently different map (tests/map/test_octree_io.cpp fuzzes both
+// corruption classes; tests/io pins the exact bytes). Files written by the
+// v1 format are still readable (structural checks only; no checksum
+// existed to verify).
 #pragma once
 
 #include <iosfwd>
@@ -30,8 +31,10 @@ class OctreeIo {
   /// std::runtime_error on malformed input.
   static OccupancyOctree read(std::istream& is);
 
-  /// File convenience wrappers. write_file returns false on I/O failure;
-  /// read_file returns std::nullopt on failure or malformed content.
+  /// File convenience wrappers. write_file commits atomically (temp file +
+  /// rename, io::commit_file) and returns false on I/O failure, leaving any
+  /// previous file at `path` intact; read_file returns std::nullopt on
+  /// failure or malformed content.
   static bool write_file(const OccupancyOctree& tree, const std::string& path);
   static std::optional<OccupancyOctree> read_file(const std::string& path);
 

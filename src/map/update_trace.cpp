@@ -5,41 +5,32 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string_view>
+
+#include "io/framing.hpp"
 
 namespace omu::map {
 
 namespace {
 
 constexpr char kMagic[9] = {'O', 'M', 'U', 'T', 'R', 'A', 'C', 'E', '1'};
-
-template <typename T>
-void write_pod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!is) throw std::runtime_error("UpdateTrace: truncated stream");
-  return v;
-}
+constexpr std::string_view kLabel = "UpdateTrace";
 
 }  // namespace
 
 UpdateTraceWriter::UpdateTraceWriter(std::ostream& os, double resolution) : os_(&os) {
   os_->write(kMagic, sizeof(kMagic));
-  write_pod(*os_, resolution);
+  io::write_pod(*os_, resolution);
   if (!*os_) throw std::runtime_error("UpdateTrace: header write failure");
 }
 
 void UpdateTraceWriter::append(const UpdateBatch& batch) {
-  write_pod(*os_, static_cast<uint32_t>(batch.size()));
+  io::write_pod(*os_, static_cast<uint32_t>(batch.size()));
   for (const VoxelUpdate& u : batch) {
-    write_pod(*os_, u.key[0]);
-    write_pod(*os_, u.key[1]);
-    write_pod(*os_, u.key[2]);
-    write_pod(*os_, static_cast<uint8_t>(u.occupied ? 1 : 0));
+    io::write_pod(*os_, u.key[0]);
+    io::write_pod(*os_, u.key[1]);
+    io::write_pod(*os_, u.key[2]);
+    io::write_pod(*os_, static_cast<uint8_t>(u.occupied ? 1 : 0));
   }
   if (!*os_) throw std::runtime_error("UpdateTrace: batch write failure");
   ++batches_;
@@ -52,7 +43,7 @@ UpdateTraceReader::UpdateTraceReader(std::istream& is) : is_(&is) {
   if (!*is_ || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     throw std::runtime_error("UpdateTrace: bad magic");
   }
-  resolution_ = read_pod<double>(*is_);
+  resolution_ = io::read_pod<double>(*is_, kLabel);
   if (!(resolution_ > 0.0)) throw std::runtime_error("UpdateTrace: invalid resolution");
 }
 
@@ -65,10 +56,10 @@ std::optional<UpdateBatch> UpdateTraceReader::next() {
   batch.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     VoxelUpdate u;
-    u.key[0] = read_pod<uint16_t>(*is_);
-    u.key[1] = read_pod<uint16_t>(*is_);
-    u.key[2] = read_pod<uint16_t>(*is_);
-    u.occupied = read_pod<uint8_t>(*is_) != 0;
+    u.key[0] = io::read_pod<uint16_t>(*is_, kLabel);
+    u.key[1] = io::read_pod<uint16_t>(*is_, kLabel);
+    u.key[2] = io::read_pod<uint16_t>(*is_, kLabel);
+    u.occupied = io::read_pod<uint8_t>(*is_, kLabel) != 0;
     batch.push_back(u);
   }
   return batch;

@@ -1,14 +1,10 @@
 // MapperConfig validation: every rejection names the offending field and
 // the value it held, so a misconfigured session is diagnosed at build
-// time instead of via a deep crash in a subsystem. Also home of the
-// deprecated flat setters — non-inline so each can warn exactly once per
-// process before forwarding into its nested options group.
+// time instead of via a deep crash in a subsystem.
 #include "omu/config.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <memory>
-#include <mutex>
 #include <sstream>
 
 #include "accel/omu_config.hpp"
@@ -24,15 +20,6 @@ std::string fmt(T value) {
   std::ostringstream os;
   os << value;
   return os.str();
-}
-
-void warn_deprecated(std::once_flag& flag, const char* old_setter, const char* replacement) {
-  std::call_once(flag, [&] {
-    std::fprintf(stderr,
-                 "omu: MapperConfig::%s is deprecated; use MapperConfig::%s "
-                 "(this warning prints once per process)\n",
-                 old_setter, replacement);
-  });
 }
 
 bool is_power_of_two(uint32_t v) { return v != 0 && (v & (v - 1)) == 0; }
@@ -78,81 +65,9 @@ MapperConfig& MapperConfig::accelerator_config(const accel::OmuConfig& config) {
   return *this;
 }
 
-// ---- Deprecated flat setters ------------------------------------------------
-
-MapperConfig& MapperConfig::threads(std::size_t count) {
-  static std::once_flag warned;
-  warn_deprecated(warned, "threads()", "sharded(ShardedOptions{.threads = ...})");
-  sharded_.threads = count;
-  legacy_fields_ |= kLegacyThreads;
-  return *this;
-}
-
-MapperConfig& MapperConfig::queue_depth(std::size_t depth) {
-  static std::once_flag warned;
-  warn_deprecated(warned, "queue_depth()", "sharded(ShardedOptions{.queue_depth = ...})");
-  sharded_.queue_depth = depth;
-  legacy_fields_ |= kLegacyQueueDepth;
-  return *this;
-}
-
-MapperConfig& MapperConfig::resident_byte_budget(std::size_t bytes) {
-  static std::once_flag warned;
-  warn_deprecated(warned, "resident_byte_budget()",
-                  "world(WorldOptions{.resident_byte_budget = ...})");
-  world_.resident_byte_budget = bytes;
-  legacy_fields_ |= kLegacyBudget;
-  return *this;
-}
-
-MapperConfig& MapperConfig::world_directory(std::string directory) {
-  static std::once_flag warned;
-  warn_deprecated(warned, "world_directory()", "world(WorldOptions{.directory = ...})");
-  world_.directory = std::move(directory);
-  legacy_fields_ |= kLegacyDirectory;
-  return *this;
-}
-
-MapperConfig& MapperConfig::tile_shift(int shift) {
-  static std::once_flag warned;
-  warn_deprecated(warned, "tile_shift()", "world(WorldOptions{.tile_shift = ...})");
-  world_.tile_shift = shift;
-  legacy_fields_ |= kLegacyTileShift;
-  return *this;
-}
-
 // ---- Validation -------------------------------------------------------------
 
 Status MapperConfig::validate() const {
-  // Mixed-API detection first: when both spellings of a knob were used,
-  // whichever was called last silently won, so the stored value cannot be
-  // trusted to mean what the caller intended.
-  if (nested_sharded_ && (legacy_fields_ & (kLegacyThreads | kLegacyQueueDepth))) {
-    const bool is_threads = (legacy_fields_ & kLegacyThreads) != 0;
-    const std::string field = is_threads ? "threads" : "queue_depth";
-    const std::string value = is_threads ? fmt(sharded_.threads) : fmt(sharded_.queue_depth);
-    return Status::invalid_argument(
-        field + ": the deprecated flat setter (currently " + value +
-        ") was mixed with sharded(ShardedOptions{...}) in one config; set "
-        "ShardedOptions::" + field + " only");
-  }
-  if (nested_world_ &&
-      (legacy_fields_ & (kLegacyBudget | kLegacyDirectory | kLegacyTileShift))) {
-    std::string field = "resident_byte_budget";
-    std::string value = fmt(world_.resident_byte_budget);
-    if (legacy_fields_ & kLegacyDirectory) {
-      field = "world_directory";
-      value = "\"" + world_.directory + "\"";
-    } else if (legacy_fields_ & kLegacyTileShift) {
-      field = "tile_shift";
-      value = fmt(world_.tile_shift);
-    }
-    return Status::invalid_argument(
-        field + ": the deprecated flat setter (currently " + value +
-        ") was mixed with world(WorldOptions{...}) in one config; set the "
-        "WorldOptions field only");
-  }
-
   if (!(resolution_ > 0.0) || !std::isfinite(resolution_)) {
     return Status::invalid_argument(
         "resolution: must be a positive finite voxel edge length in metres, got " +

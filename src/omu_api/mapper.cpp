@@ -504,9 +504,9 @@ Status Mapper::save() {
         "save: this is a " + std::string(to_string(backend())) +
         " session with no world directory; use save_map(path) for a single-file map");
   }
-  if (impl_->config.world_directory().empty()) {
+  if (impl_->config.world().directory.empty()) {
     return Status::failed_precondition(
-        "save: this tiled-world session is in-memory — configure world_directory() at create "
+        "save: this tiled-world session is in-memory — configure world.directory at create "
         "time to make the world persistable");
   }
   return guarded([&] {
@@ -520,10 +520,10 @@ Status Mapper::save() {
 Status Mapper::save_map(const std::string& path) {
   if (!impl_ || !impl_->open) return closed_status();
   if (impl_->world) {
-    if (impl_->config.world_directory().empty()) {
+    if (impl_->config.world().directory.empty()) {
       return Status::failed_precondition(
           "save_map: a tiled-world session persists tile-by-tile, not as one file — recreate it "
-          "with world_directory() set, then use save()");
+          "with world.directory set, then use save()");
     }
     return Status::failed_precondition(
         "save_map: this session's map lives in a tiled world, which persists into its world "

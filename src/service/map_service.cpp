@@ -331,7 +331,7 @@ void MapService::register_session(const std::shared_ptr<Connection>& conn, const
   if (world::TiledWorldMap* world = session->mapper->internal_world()) {
     // Join the shared paging budget whenever there is something to govern
     // or account: a service-wide cap, or a tenant byte quota.
-    const std::string& directory = session->mapper->config().world_directory();
+    const std::string& directory = session->mapper->config().world().directory;
     if (!directory.empty() &&
         (cfg_.shared_resident_byte_budget > 0 || quota.max_resident_bytes > 0)) {
       world->attach_budget_arbiter(&arbiter_,
@@ -409,13 +409,13 @@ WireStatus MapService::admit_insert(Session& session, std::size_t points) {
   if (pipeline::ShardedMapPipeline* pipeline = session.mapper->internal_pipeline()) {
     // Reject instead of blocking the connection thread on a full shard
     // queue — the tenant retries; other tenants' RPCs keep flowing.
-    if (pipeline->max_queue_depth() >= session.mapper->config().queue_depth()) {
+    if (pipeline->max_queue_depth() >= session.mapper->config().sharded().queue_depth) {
       rejected_backpressure_->add();
       return WireStatus::from(
           omu::Status::resource_exhausted(
               "session " + std::to_string(session.id) +
               " shard queues are full (depth " +
-              std::to_string(session.mapper->config().queue_depth()) +
+              std::to_string(session.mapper->config().sharded().queue_depth) +
               "); retry shortly or flush"),
           cfg_.retry_after_ms);
     }

@@ -2,18 +2,10 @@
 
 #include <cstring>
 
+#include "io/framing.hpp"
 #include "service/transport.hpp"
 
 namespace omu::service {
-
-uint64_t fnv1a(const uint8_t* data, std::size_t size, uint64_t seed) {
-  uint64_t h = seed;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 void WireWriter::f32(float v) {
   uint32_t bits;
@@ -69,6 +61,11 @@ std::string WireReader::str() {
 
 namespace {
 
+/// Seed of the frame checksum. Wire version 1 shipped with the FNV-1a
+/// offset basis missing its last digit (14695981039346656037 -> ...603);
+/// every peer uses this value, so it is part of the protocol.
+constexpr uint64_t kChecksumSeed = 1469598103934665603ull;
+
 template <typename T>
 void put_le(std::vector<uint8_t>& out, T v) {
   for (std::size_t i = 0; i < sizeof(T); ++i) {
@@ -100,7 +97,7 @@ std::vector<uint8_t> encode_frame(const Frame& frame) {
   put_le(out, frame.request_id);
   put_le(out, static_cast<uint32_t>(frame.payload.size()));
   out.insert(out.end(), frame.payload.begin(), frame.payload.end());
-  const uint64_t checksum = fnv1a(out.data(), out.size());
+  const uint64_t checksum = io::fnv1a(out.data(), out.size(), kChecksumSeed);
   put_le(out, checksum);
   return out;
 }
@@ -140,8 +137,8 @@ std::optional<Frame> read_frame(Transport& transport) {
   if (!read_exact(transport, trailer, sizeof(trailer))) {
     throw WireError("stream truncated before the frame checksum");
   }
-  uint64_t expected = fnv1a(header, sizeof(header));
-  expected = fnv1a(frame.payload.data(), frame.payload.size(), expected);
+  uint64_t expected = io::fnv1a(header, sizeof(header), kChecksumSeed);
+  expected = io::fnv1a(frame.payload.data(), frame.payload.size(), expected);
   const uint64_t actual = get_le<uint64_t>(trailer);
   if (actual != expected) {
     throw WireError("frame checksum mismatch (corrupt stream)");

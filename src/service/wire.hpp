@@ -8,12 +8,14 @@
 //   u64  request_id correlates a reply with its request (0 for events)
 //   u32  payload_len
 //   ...  payload    little-endian fields, message-specific (messages.hpp)
-//   u64  checksum   FNV-1a over header (sans checksum) and payload
+//   u64  checksum   io::fnv1a over header (sans checksum) and payload,
+//                   from the protocol's own seed (wire.cpp)
 //
-// This is octree_io v2's framing discipline applied to a socket: explicit
-// length, version gate, and a trailing FNV-1a checksum so a truncated,
-// corrupted or mis-framed stream fails with a clean WireError naming what
-// went wrong — never a silently wrong map. Integers are little-endian;
+// The file-frame discipline of io/framing.hpp applied to a socket, with
+// its own little-endian header: explicit length, version gate, and the
+// trailing FNV-1a checksum io/framing.hpp owns, so a truncated, corrupted
+// or mis-framed stream fails with a clean WireError naming what went
+// wrong — never a silently wrong map. Integers are little-endian;
 // floats cross the wire as their IEEE-754 bit patterns, so a map replayed
 // through the service is bit-identical to one built in-process (the
 // equivalence suites assert the content hashes match).
@@ -52,9 +54,6 @@ inline constexpr uint32_t kMaxPayloadBytes = 64u << 20;
 
 /// Replies echo the request's type with this bit set.
 inline constexpr uint16_t kReplyBit = 0x8000;
-
-/// FNV-1a 64-bit — the same checksum octree_io v2 trails its streams with.
-uint64_t fnv1a(const uint8_t* data, std::size_t size, uint64_t seed = 1469598103934665603ull);
 
 /// One decoded frame.
 struct Frame {

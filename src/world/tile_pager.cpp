@@ -5,6 +5,7 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "io/framing.hpp"
 #include "obs/telemetry.hpp"
 #include "world/budget_arbiter.hpp"
 #include "world/world_manifest.hpp"
@@ -77,30 +78,11 @@ std::unique_ptr<map::TileBackend> TilePager::load_file(TileId id, const Slot& sl
 }
 
 void TilePager::write_file(TileId id, Slot& slot) {
-  const std::string name = grid_.tile_name(unpack_tile(id));
-  const std::string path = tile_file(id);
-  // Write-to-temp + rename: an interrupted write must never clobber the
-  // only on-disk copy of an (evicted) tile with a truncated stream.
-  const std::string tmp = path + ".tmp";
   slot.handle->backend().flush();
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) {
-      throw std::runtime_error("TilePager: cannot open tile " + name + " (" + tmp +
-                               ") for writing");
-    }
-    try {
-      slot.handle->save(os);
-    } catch (const std::runtime_error& e) {
-      throw std::runtime_error("TilePager: failed writing tile " + name + ": " + e.what());
-    }
-    if (!os) throw std::runtime_error("TilePager: failed writing tile " + name);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    throw std::runtime_error("TilePager: failed committing tile " + name + ": " + ec.message());
-  }
+  // Temp file + rename: an interrupted write must never clobber the only
+  // on-disk copy of an (evicted) tile with a truncated stream.
+  io::commit_file(tile_file(id), [&slot](std::ostream& os) { slot.handle->save(os); },
+                  "TilePager");
   slot.saved = tile_signature(slot.handle->backend());
   slot.dirty = false;
   slot.on_disk = true;

@@ -1,124 +1,82 @@
 #include "world/world_manifest.hpp"
 
-#include <cstring>
-#include <filesystem>
 #include <fstream>
-#include <istream>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+
+#include "io/framing.hpp"
 
 namespace omu::world {
 
 namespace {
 
-constexpr char kMagic[8] = {'O', 'M', 'U', 'W', 'R', 'L', 'D', '1'};
+constexpr std::string_view kMagic = "OMUWRLD1";
+constexpr std::string_view kLabel = "WorldManifest";
 
 /// Upper bound on a plausible manifest payload; a corrupt length field
-/// must not be handed to the allocator (same guard as octree_io).
+/// must not be handed to the allocator.
 constexpr uint64_t kMaxPayloadBytes = uint64_t{1} << 28;
-
-template <typename T>
-void write_pod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!is) throw std::runtime_error("WorldManifest: truncated stream");
-  return v;
-}
-
-uint64_t fnv1a(const std::string& bytes) {
-  uint64_t h = 0xCBF29CE484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
 
 }  // namespace
 
 void WorldManifest::write(std::ostream& os) const {
   std::ostringstream payload(std::ios::binary);
-  write_pod(payload, resolution);
-  write_pod(payload, params.log_hit);
-  write_pod(payload, params.log_miss);
-  write_pod(payload, params.clamp_min);
-  write_pod(payload, params.clamp_max);
-  write_pod(payload, params.occ_threshold);
-  write_pod(payload, static_cast<uint8_t>(params.quantized ? 1 : 0));
-  write_pod(payload, static_cast<int32_t>(tile_shift));
-  write_pod(payload, static_cast<uint64_t>(tiles.size()));
+  io::write_pod(payload, resolution);
+  io::write_pod(payload, params.log_hit);
+  io::write_pod(payload, params.log_miss);
+  io::write_pod(payload, params.clamp_min);
+  io::write_pod(payload, params.clamp_max);
+  io::write_pod(payload, params.occ_threshold);
+  io::write_pod(payload, static_cast<uint8_t>(params.quantized ? 1 : 0));
+  io::write_pod(payload, static_cast<int32_t>(tile_shift));
+  io::write_pod(payload, static_cast<uint64_t>(tiles.size()));
   for (const TileEntry& tile : tiles) {
-    write_pod(payload, tile.coord.tx);
-    write_pod(payload, tile.coord.ty);
-    write_pod(payload, tile.coord.tz);
-    write_pod(payload, tile.content_hash);
-    write_pod(payload, tile.leaf_count);
+    io::write_pod(payload, tile.coord.tx);
+    io::write_pod(payload, tile.coord.ty);
+    io::write_pod(payload, tile.coord.tz);
+    io::write_pod(payload, tile.content_hash);
+    io::write_pod(payload, tile.leaf_count);
   }
 
-  const std::string bytes = std::move(payload).str();
-  os.write(kMagic, sizeof(kMagic));
-  write_pod(os, static_cast<uint64_t>(bytes.size()));
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  write_pod(os, fnv1a(bytes));
-  if (!os) throw std::runtime_error("WorldManifest: write failure");
+  io::write_frame(os, kMagic, std::move(payload).str(), kLabel);
 }
 
 WorldManifest WorldManifest::read(std::istream& is) {
-  char magic[8];
-  is.read(magic, sizeof(magic));
-  if (!is || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw std::runtime_error("WorldManifest: bad magic");
-  }
-  const auto payload_size = read_pod<uint64_t>(is);
-  if (payload_size > kMaxPayloadBytes) {
-    throw std::runtime_error("WorldManifest: implausible payload size (corrupt stream)");
-  }
-  std::string bytes(static_cast<std::size_t>(payload_size), '\0');
-  is.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!is) throw std::runtime_error("WorldManifest: truncated stream");
-  const auto stored_hash = read_pod<uint64_t>(is);
-  if (stored_hash != fnv1a(bytes)) {
-    throw std::runtime_error("WorldManifest: checksum mismatch (corrupt stream)");
-  }
-
+  std::string bytes = io::read_frame(is, kMagic, kMaxPayloadBytes, kLabel);
+  // 5 pods = 22 bytes per entry; a count the payload cannot hold is corrupt.
+  const uint64_t max_tiles = bytes.size() / 22;
   std::istringstream payload(std::move(bytes), std::ios::binary);
   WorldManifest m;
-  m.resolution = read_pod<double>(payload);
+  m.resolution = io::read_pod<double>(payload, kLabel);
   if (!(m.resolution > 0.0)) throw std::runtime_error("WorldManifest: invalid resolution");
-  m.params.log_hit = read_pod<float>(payload);
-  m.params.log_miss = read_pod<float>(payload);
-  m.params.clamp_min = read_pod<float>(payload);
-  m.params.clamp_max = read_pod<float>(payload);
-  m.params.occ_threshold = read_pod<float>(payload);
-  m.params.quantized = read_pod<uint8_t>(payload) != 0;
-  m.tile_shift = static_cast<int>(read_pod<int32_t>(payload));
+  m.params.log_hit = io::read_pod<float>(payload, kLabel);
+  m.params.log_miss = io::read_pod<float>(payload, kLabel);
+  m.params.clamp_min = io::read_pod<float>(payload, kLabel);
+  m.params.clamp_max = io::read_pod<float>(payload, kLabel);
+  m.params.occ_threshold = io::read_pod<float>(payload, kLabel);
+  m.params.quantized = io::read_pod<uint8_t>(payload, kLabel) != 0;
+  m.tile_shift = static_cast<int>(io::read_pod<int32_t>(payload, kLabel));
   if (m.tile_shift < 1 || m.tile_shift > map::kTreeDepth) {
     throw std::runtime_error("WorldManifest: invalid tile_shift");
   }
-  const auto tile_count = read_pod<uint64_t>(payload);
-  // 5 pods = 22 bytes per entry; a count the payload cannot hold is corrupt.
-  if (tile_count > payload_size / 22) {
+  const auto tile_count = io::read_pod<uint64_t>(payload, kLabel);
+  if (tile_count > max_tiles) {
     throw std::runtime_error("WorldManifest: implausible tile count (corrupt stream)");
   }
   const uint32_t tiles_per_axis = 1u << (map::kTreeDepth - m.tile_shift);
   m.tiles.reserve(static_cast<std::size_t>(tile_count));
   for (uint64_t i = 0; i < tile_count; ++i) {
     TileEntry tile;
-    tile.coord.tx = read_pod<uint16_t>(payload);
-    tile.coord.ty = read_pod<uint16_t>(payload);
-    tile.coord.tz = read_pod<uint16_t>(payload);
+    tile.coord.tx = io::read_pod<uint16_t>(payload, kLabel);
+    tile.coord.ty = io::read_pod<uint16_t>(payload, kLabel);
+    tile.coord.tz = io::read_pod<uint16_t>(payload, kLabel);
     if (tile.coord.tx >= tiles_per_axis || tile.coord.ty >= tiles_per_axis ||
         tile.coord.tz >= tiles_per_axis) {
       throw std::runtime_error("WorldManifest: tile coordinate out of range");
     }
-    tile.content_hash = read_pod<uint64_t>(payload);
-    tile.leaf_count = read_pod<uint64_t>(payload);
+    tile.content_hash = io::read_pod<uint64_t>(payload, kLabel);
+    tile.leaf_count = io::read_pod<uint64_t>(payload, kLabel);
     m.tiles.push_back(tile);
   }
   return m;
@@ -134,21 +92,7 @@ std::string WorldManifest::tile_path(const std::string& world_dir, const TileGri
 }
 
 void WorldManifest::write_file(const std::string& world_dir) const {
-  // Write-to-temp + rename, so an interrupted write cannot destroy the
-  // previous valid manifest.
-  const std::string path = manifest_path(world_dir);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) throw std::runtime_error("WorldManifest: cannot open " + tmp + " for writing");
-    write(os);
-    if (!os) throw std::runtime_error("WorldManifest: write failure on " + tmp);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    throw std::runtime_error("WorldManifest: failed committing " + path + ": " + ec.message());
-  }
+  io::commit_file(manifest_path(world_dir), [this](std::ostream& os) { write(os); }, kLabel);
 }
 
 WorldManifest WorldManifest::read_file(const std::string& world_dir) {

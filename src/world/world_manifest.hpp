@@ -8,10 +8,11 @@
 // a tile file is the one the manifest promised (a swapped or stale file
 // fails with a clean error naming the tile, not a silently wrong map).
 //
-// Layout on disk (binary, octree_io v2 framing style):
-//   magic "OMUWRLD1" | u64 payload length | payload | u64 FNV-1a(payload)
-// so truncation and bit corruption are rejected with std::runtime_error —
-// the same contract tests/map/test_octree_io.cpp fuzzes for tile files.
+// Layout on disk: the shared file frame of io/framing.hpp with magic
+// "OMUWRLD1" (length, payload, trailing FNV-1a), so truncation and bit
+// corruption are rejected with std::runtime_error. write_file commits
+// through io::commit_file (temp file + rename), so an interrupted write
+// never destroys the previous valid manifest.
 #pragma once
 
 #include <cstdint>

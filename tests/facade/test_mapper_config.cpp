@@ -45,18 +45,18 @@ TEST(MapperConfigValidation, RejectsNonPositiveResolution) {
 }
 
 TEST(MapperConfigValidation, RejectsZeroThreads) {
-  EXPECT_EQ(expect_rejected(MapperConfig().threads(0), {"threads", "0"}).code(),
+  EXPECT_EQ(expect_rejected(MapperConfig().sharded({.threads = 0}), {"threads", "0"}).code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(MapperConfigValidation, RejectsThreadsOnNonShardedBackend) {
-  expect_rejected(MapperConfig().threads(7), {"threads", "7", "kSharded", "octree"});
-  expect_rejected(MapperConfig().backend(BackendKind::kAccelerator).threads(2),
+  expect_rejected(MapperConfig().sharded({.threads = 7}), {"threads", "7", "kSharded", "octree"});
+  expect_rejected(MapperConfig().backend(BackendKind::kAccelerator).sharded({.threads = 2}),
                   {"threads", "2", "accelerator"});
 }
 
 TEST(MapperConfigValidation, RejectsZeroQueueDepth) {
-  expect_rejected(MapperConfig().backend(BackendKind::kSharded).queue_depth(0),
+  expect_rejected(MapperConfig().backend(BackendKind::kSharded).sharded({.queue_depth = 0}),
                   {"queue_depth", "0"});
 }
 
@@ -135,52 +135,6 @@ TEST(MapperConfigValidation, RejectsUnquantizedSensorModelUnderHybrid) {
   sm.quantized = false;
   expect_rejected(MapperConfig().backend(BackendKind::kHybrid).sensor_model(sm),
                   {"sensor_model.quantized", "kHybrid"});
-}
-
-// ---- Deprecated flat setters: forward, but never silently mix ---------------
-
-TEST(MapperConfigValidation, RejectsFlatSetterMixedWithNestedSharded) {
-  const Status s = expect_rejected(MapperConfig()
-                                       .backend(BackendKind::kSharded)
-                                       .sharded({.threads = 4})
-                                       .threads(2),
-                                   {"threads", "2", "ShardedOptions"});
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  expect_rejected(MapperConfig()
-                      .backend(BackendKind::kSharded)
-                      .queue_depth(8)
-                      .sharded({.threads = 2}),
-                  {"queue_depth", "ShardedOptions"});
-}
-
-TEST(MapperConfigValidation, RejectsFlatSetterMixedWithNestedWorld) {
-  expect_rejected(MapperConfig()
-                      .backend(BackendKind::kTiledWorld)
-                      .world({.directory = "w"})
-                      .tile_shift(5),
-                  {"tile_shift", "5", "WorldOptions"});
-  expect_rejected(MapperConfig()
-                      .backend(BackendKind::kTiledWorld)
-                      .world_directory("w")
-                      .world({.tile_shift = 6}),
-                  {"world_directory", "WorldOptions"});
-}
-
-TEST(MapperConfigValidation, DeprecatedFlatSettersStillForward) {
-  const MapperConfig cfg =
-      MapperConfig().backend(BackendKind::kSharded).threads(4).queue_depth(32);
-  EXPECT_TRUE(cfg.validate().ok()) << cfg.validate();
-  EXPECT_EQ(cfg.sharded().threads, 4u);
-  EXPECT_EQ(cfg.sharded().queue_depth, 32u);
-  const MapperConfig world_cfg = MapperConfig()
-                                     .backend(BackendKind::kTiledWorld)
-                                     .world_directory("legacy_dir")
-                                     .tile_shift(5)
-                                     .resident_byte_budget(1 << 16);
-  EXPECT_TRUE(world_cfg.validate().ok()) << world_cfg.validate();
-  EXPECT_EQ(world_cfg.world().directory, "legacy_dir");
-  EXPECT_EQ(world_cfg.world().tile_shift, 5);
-  EXPECT_EQ(world_cfg.world().resident_byte_budget, std::size_t{1} << 16);
 }
 
 TEST(MapperConfigValidation, RejectsAcceleratorOptionsOnOtherBackends) {
@@ -292,8 +246,8 @@ TEST(MapperConfigValidation, OpenCorruptManifestFailsCleanly) {
 
 TEST(MapperConfigValidation, CreateOverExistingWorldIsFailedPrecondition) {
   TempDir dir("facade_create_shadow");
-  const MapperConfig cfg =
-      MapperConfig().backend(BackendKind::kTiledWorld).tile_shift(5).world_directory(dir.path());
+  const MapperConfig cfg = MapperConfig().backend(BackendKind::kTiledWorld).world(
+      {.directory = dir.path(), .tile_shift = 5});
   {
     Result<Mapper> first = Mapper::create(cfg);
     ASSERT_TRUE(first.ok()) << first.status();

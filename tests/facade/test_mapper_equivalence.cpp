@@ -332,7 +332,7 @@ TEST(FacadeEquivalence, InsertRaysMatchesInsertScan) {
     for (const geom::Vec3f& p : scan.points) {
       rays.push_back(Ray{Vec3{scan.origin.x, scan.origin.y, scan.origin.z}, Point{p.x, p.y, p.z}});
     }
-    ASSERT_TRUE(by_rays.insert_rays(rays).ok());
+    ASSERT_TRUE(by_rays.insert(rays).ok());
   }
   EXPECT_EQ(by_scan.content_hash().value(), by_rays.content_hash().value());
   EXPECT_EQ(by_rays.stats()->ingest.rays_inserted, by_rays.stats()->ingest.points_inserted);

@@ -3,6 +3,9 @@
 // immutability guarantees.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include <omu/omu.hpp>
@@ -42,7 +45,7 @@ TEST(MapperLifecycle, FlushPublishesNewEpochsAndCountsStats) {
 
   // New content publishes a new epoch.
   const float point[] = {4.0f, 2.0f, 1.0f};
-  ASSERT_TRUE(mapper.insert_scan(point, 1, Vec3{0, 0, 0}).ok());
+  ASSERT_TRUE(mapper.insert(point, 1, Vec3{0, 0, 0}).ok());
   ASSERT_TRUE(mapper.flush().ok());
   EXPECT_GT(mapper.snapshot().value().epoch(), first_epoch);
 
@@ -91,7 +94,7 @@ TEST(MapperLifecycle, EveryCallFailsClosedAfterClose) {
   EXPECT_TRUE(mapper.close().ok());  // idempotent
 
   const float xyz[3] = {1.0f, 0.0f, 0.0f};
-  EXPECT_EQ(mapper.insert_scan(xyz, 1, Vec3{0, 0, 0}).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(mapper.insert(xyz, 1, Vec3{0, 0, 0}).code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(mapper.flush().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(mapper.snapshot().status().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(mapper.classify(Vec3{0, 0, 0}).status().code(), StatusCode::kFailedPrecondition);
@@ -106,10 +109,10 @@ TEST(MapperLifecycle, EveryCallFailsClosedAfterClose) {
 
 TEST(MapperLifecycle, InsertRejectsNullPointsWithoutThrowing) {
   Mapper mapper = Mapper::create(MapperConfig()).value();
-  EXPECT_EQ(mapper.insert_scan(nullptr, 3, Vec3{0, 0, 0}).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(mapper.insert_rays(nullptr, 2).code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(mapper.insert_scan(nullptr, 0, Vec3{0, 0, 0}).ok());  // empty scan is fine
-  EXPECT_TRUE(mapper.insert_rays(nullptr, 0).ok());
+  EXPECT_EQ(mapper.insert(nullptr, 3, Vec3{0, 0, 0}).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(mapper.insert(nullptr, 2).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(mapper.insert(nullptr, 0, Vec3{0, 0, 0}).ok());  // empty scan is fine
+  EXPECT_TRUE(mapper.insert(nullptr, 0).ok());
 }
 
 TEST(MapperLifecycle, SaveMapRoundTripsOnFileBackends) {
@@ -125,12 +128,60 @@ TEST(MapperLifecycle, SaveMapRoundTripsOnFileBackends) {
 
   // The sharded session's merged export writes the identical file content.
   Mapper sharded =
-      Mapper::create(MapperConfig().backend(BackendKind::kSharded).threads(3)).value();
+      Mapper::create(MapperConfig().backend(BackendKind::kSharded).sharded({.threads = 3}))
+          .value();
   stream_into(sharded, test_scans());
   const std::string sharded_path = dir.path() + "/sharded.omap";
   ASSERT_TRUE(sharded.save_map(sharded_path).ok());
   EXPECT_EQ(map::OctreeIo::read_file(sharded_path)->content_hash(),
             octree.content_hash().value());
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
+}
+
+TEST(MapperLifecycle, SaveMapReplacesAnExistingMapAtomically) {
+  TempDir dir("facade_save_map_replace");
+  const std::string path = dir.path() + "/map.omap";
+  Mapper first = Mapper::create(MapperConfig()).value();
+  stream_into(first, test_scans());
+  ASSERT_TRUE(first.save_map(path).ok());
+
+  Mapper second = Mapper::create(MapperConfig()).value();
+  stream_into(second, {test_scans().front()});
+  ASSERT_NE(second.content_hash().value(), first.content_hash().value());
+  ASSERT_TRUE(second.save_map(path).ok());
+  const auto reloaded = map::OctreeIo::read_file(path);
+  ASSERT_TRUE(reloaded.has_value());
+  EXPECT_EQ(reloaded->content_hash(), second.content_hash().value());
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
+TEST(MapperLifecycle, FailedSaveMapKeepsThePreviousFile) {
+  TempDir dir("facade_save_map_fail");
+  const std::string path = dir.path() + "/map.omap";
+  Mapper first = Mapper::create(MapperConfig()).value();
+  stream_into(first, test_scans());
+  ASSERT_TRUE(first.save_map(path).ok());
+  const std::string saved = read_bytes(path);
+
+  // A directory squatting on the temp name makes the commit fail before
+  // the target is touched.
+  std::filesystem::create_directory(path + ".tmp");
+  Mapper second = Mapper::create(MapperConfig()).value();
+  stream_into(second, {test_scans().front()});
+  const Status status = second.save_map(path);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find(path), std::string::npos) << status;
+
+  EXPECT_EQ(read_bytes(path), saved);
+  const auto reloaded = map::OctreeIo::read_file(path);
+  ASSERT_TRUE(reloaded.has_value());
+  EXPECT_EQ(reloaded->content_hash(), first.content_hash().value());
 }
 
 TEST(MapperLifecycle, SaveAndSaveMapAreModeChecked) {
@@ -143,8 +194,7 @@ TEST(MapperLifecycle, SaveAndSaveMapAreModeChecked) {
 
   Mapper world = Mapper::create(MapperConfig()
                                     .backend(BackendKind::kTiledWorld)
-                                    .tile_shift(5)
-                                    .world_directory(dir.path()))
+                                    .world({.directory = dir.path(), .tile_shift = 5}))
                      .value();
   const Status save_map = world.save_map(dir.path() + "/m.omap");
   EXPECT_EQ(save_map.code(), StatusCode::kFailedPrecondition);
@@ -153,10 +203,11 @@ TEST(MapperLifecycle, SaveAndSaveMapAreModeChecked) {
   // A purely in-memory world (valid config) has no persistence path; both
   // save flavours must say why and name the missing config field.
   Mapper in_memory =
-      Mapper::create(MapperConfig().backend(BackendKind::kTiledWorld).tile_shift(5)).value();
+      Mapper::create(MapperConfig().backend(BackendKind::kTiledWorld).world({.tile_shift = 5}))
+          .value();
   const Status mem_save = in_memory.save();
   EXPECT_EQ(mem_save.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(mem_save.message().find("world_directory"), std::string::npos) << mem_save;
+  EXPECT_NE(mem_save.message().find("world.directory"), std::string::npos) << mem_save;
   EXPECT_EQ(in_memory.save_map(dir.path() + "/m2.omap").code(),
             StatusCode::kFailedPrecondition);
 }
@@ -167,8 +218,7 @@ TEST(MapperLifecycle, WorldSaveOpenRoundTripAndResume) {
   {
     Mapper world = Mapper::create(MapperConfig()
                                       .backend(BackendKind::kTiledWorld)
-                                      .tile_shift(5)
-                                      .world_directory(dir.path()))
+                                      .world({.directory = dir.path(), .tile_shift = 5}))
                        .value();
     stream_into(world, test_scans());
     ASSERT_TRUE(world.flush().ok());
@@ -179,7 +229,7 @@ TEST(MapperLifecycle, WorldSaveOpenRoundTripAndResume) {
 
   Mapper reopened = Mapper::open(dir.path()).value();
   EXPECT_EQ(reopened.backend(), BackendKind::kTiledWorld);
-  EXPECT_EQ(reopened.config().tile_shift(), 5);
+  EXPECT_EQ(reopened.config().world().tile_shift, 5);
   EXPECT_EQ(reopened.content_hash().value(), saved_hash);
 
   // The reopened session keeps mapping: integrate the stream again and the
@@ -203,9 +253,8 @@ TEST(MapperLifecycle, OpenRestoresCallerSuppliedRayPolicy) {
   {
     Mapper world = Mapper::create(MapperConfig()
                                       .backend(BackendKind::kTiledWorld)
-                                      .tile_shift(5)
                                       .sensor_model(sm)
-                                      .world_directory(dir.path()))
+                                      .world({.directory = dir.path(), .tile_shift = 5}))
                        .value();
     for (std::size_t i = 0; i < half; ++i) {
       ASSERT_TRUE(facade_testing::insert_cloud(world, scans[i].points, scans[i].origin).ok());
@@ -223,7 +272,7 @@ TEST(MapperLifecycle, OpenRestoresCallerSuppliedRayPolicy) {
   // Session B: the same stream through a never-closed session.
   Mapper straight = Mapper::create(MapperConfig()
                                        .backend(BackendKind::kTiledWorld)
-                                       .tile_shift(5)
+                                       .world({.tile_shift = 5})
                                        .sensor_model(sm))
                         .value();
   stream_into(straight, scans);

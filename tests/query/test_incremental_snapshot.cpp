@@ -370,10 +370,8 @@ TEST(IncrementalSnapshotChurn, FacadeChurnPublishesIncrementallyAndStaysIdentica
       xyz.push_back(p.y);
       xyz.push_back(p.z);
     }
-    ASSERT_TRUE(mapper
-                    .insert_scan(xyz.data(), cloud.size(),
-                                 Vec3{origin.x, origin.y, origin.z})
-                    .ok());
+    ASSERT_TRUE(
+        mapper.insert(xyz.data(), cloud.size(), Vec3{origin.x, origin.y, origin.z}).ok());
     reference_inserter.insert_scan(cloud, origin);
     ASSERT_TRUE(mapper.flush().ok());
 

@@ -243,6 +243,25 @@ TEST_P(WorldPersistenceFuzz, CorruptManifestFailsClean) {
   EXPECT_THROW(TiledWorldMap::open(dir.path()), std::runtime_error);
 }
 
+TEST(WorldPersistence, InflatedManifestLengthFailsThroughChunkedRead) {
+  // A tiny manifest whose length field claims 2^28 bytes (the plausibility
+  // bound itself): the reader must fail on the real stream length, not
+  // allocate the claimed payload first.
+  TempDir dir("world_manifest_inflated");
+  std::string bytes = "OMUWRLD1";
+  const uint64_t claimed = uint64_t{1} << 28;
+  bytes.append(reinterpret_cast<const char*>(&claimed), sizeof(claimed));
+  bytes.append(40, '\x5A');
+  write_bytes(fs::path(dir.path()) / WorldManifest::kFileName, bytes);
+  try {
+    WorldManifest::read_file(dir.path());
+    FAIL() << "an inflated manifest must not parse";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(TiledWorldMap::open(dir.path()), std::runtime_error);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, WorldPersistenceFuzz,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12));
 
