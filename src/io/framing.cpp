@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -54,6 +55,17 @@ std::string read_frame(std::istream& is, std::string_view magic, uint64_t max_pa
   is.read(found, sizeof(found));
   if (!is || magic != std::string_view(found, sizeof(found))) fail(label, "bad magic");
   return read_frame_body(is, max_payload_bytes, label);
+}
+
+std::optional<uint64_t> frame_checksum(std::string_view frame) {
+  constexpr std::size_t kOverhead = kMagicBytes + 2 * sizeof(uint64_t);
+  if (frame.size() < kOverhead) return std::nullopt;
+  uint64_t payload_size = 0;
+  std::memcpy(&payload_size, frame.data() + kMagicBytes, sizeof(payload_size));
+  if (payload_size != frame.size() - kOverhead) return std::nullopt;
+  uint64_t checksum = 0;
+  std::memcpy(&checksum, frame.data() + frame.size() - sizeof(checksum), sizeof(checksum));
+  return checksum;
 }
 
 void commit_file(const std::string& path, const std::function<void(std::ostream&)>& write,

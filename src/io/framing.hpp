@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <functional>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -109,6 +110,13 @@ std::string read_frame_body(std::istream& is, uint64_t max_payload_bytes, std::s
 /// read_frame_body().
 std::string read_frame(std::istream& is, std::string_view magic, uint64_t max_payload_bytes,
                        std::string_view label);
+
+/// The checksum field of one whole frame held in memory (magic | length |
+/// payload | checksum), read without hashing the payload again. Returns
+/// nullopt when `frame` is not exactly one frame long (a legacy unframed
+/// file, or a truncated one). It does not verify the checksum against the
+/// payload; that is read_frame_body()'s job on the actual read.
+std::optional<uint64_t> frame_checksum(std::string_view frame);
 
 // ---- Atomic commit -----------------------------------------------------------
 

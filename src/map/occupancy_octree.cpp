@@ -641,7 +641,7 @@ std::vector<OccupancyOctree::LeafRecord> OccupancyOctree::leaves_sorted() const 
   for_each_leaf([&out](const OcKey& key, int depth, float value) {
     out.push_back(LeafRecord{key, depth, value});
   });
-  std::sort(out.begin(), out.end(), canonical_leaf_less);
+  sort_canonical(out);
   return out;
 }
 
@@ -673,9 +673,10 @@ void OccupancyOctree::collect_branch_leaves(int branch, std::vector<LeafRecord>&
   base[0] = static_cast<uint16_t>((branch & 1) << bit);
   base[1] = static_cast<uint16_t>(((branch >> 1) & 1) << bit);
   base[2] = static_cast<uint16_t>(((branch >> 2) & 1) << bit);
-  // The ascending-child DFS emits leaves in ascending packed order (child
-  // index i orders by the same (z, y, x) bit significance packed() uses),
-  // so the appended run is already canonically sorted within the branch.
+  // The appended run is in DFS (Morton) order, NOT canonical order:
+  // packed() is z-major raster order (z<<32 | y<<16 | x), so e.g. a leaf
+  // at (x=0, y=h-1) is emitted before one at (x=h, y=0) although it sorts
+  // after it. Consumers must sort_canonical() the run before relying on it.
   leaves_recurs(root.children + branch, base, 1,
                 [&out](const OcKey& key, int depth, float value) {
                   out.push_back(LeafRecord{key, depth, value});
@@ -684,6 +685,11 @@ void OccupancyOctree::collect_branch_leaves(int branch, std::vector<LeafRecord>&
 
 uint64_t OccupancyOctree::content_hash() const {
   return hash_leaf_records(normalize_to_depth1(leaves_sorted()));
+}
+
+void sort_canonical(std::vector<LeafRecord>& leaves) {
+  std::sort(leaves.begin(), leaves.end(),
+            [](const LeafRecord& a, const LeafRecord& b) { return canonical_leaf_less(a, b); });
 }
 
 uint64_t hash_leaf_records(const std::vector<LeafRecord>& records) {
@@ -729,7 +735,7 @@ std::vector<LeafRecord> normalize_to_min_depth(std::vector<LeafRecord> records, 
       }
     }
   }
-  std::sort(out.begin(), out.end(), canonical_leaf_less);
+  sort_canonical(out);
   return out;
 }
 

@@ -328,6 +328,12 @@ inline bool canonical_leaf_less(const LeafRecord& a, const LeafRecord& b) {
   return a.depth < b.depth;
 }
 
+/// Sorts a leaf list into canonical order. Every canonical sort in the
+/// repo goes through this one helper: its comparator inlines into the
+/// sort, where std::sort(..., canonical_leaf_less) calls through a
+/// function pointer once per comparison.
+void sort_canonical(std::vector<LeafRecord>& leaves);
+
 /// FNV-1a hash over a leaf list (assumed already in canonical sort order);
 /// equal lists hash equal — used for cheap map-content comparison.
 uint64_t hash_leaf_records(const std::vector<LeafRecord>& records);

@@ -79,10 +79,12 @@ std::shared_ptr<const MapSnapshot::Chunk> MapSnapshot::build_chunk(
 std::shared_ptr<const MapSnapshot> MapSnapshot::build(map::MapSnapshotData data, uint64_t epoch) {
   auto snap = std::shared_ptr<MapSnapshot>(new MapSnapshot(data.resolution, data.params, epoch));
 
-  // Defensive re-sort: backends export in canonical order already, so this
-  // is a no-op pass for them, but build() accepts any leaf list.
+  // Required sort: leaves_sorted() exports are canonical already, but a
+  // full export_snapshot_delta() concatenates per-branch DFS runs, which
+  // are in Morton order, not packed (z-major raster) order — see
+  // OccupancyOctree::collect_branch_leaves.
   std::vector<map::LeafRecord> leaves = std::move(data.leaves);
-  std::sort(leaves.begin(), leaves.end(), map::canonical_leaf_less);
+  map::sort_canonical(leaves);
 
   // Root node. A single depth-0 record is a fully collapsed map: no branch
   // chunks, the root leaf answers everything.
@@ -142,9 +144,10 @@ std::shared_ptr<const MapSnapshot> MapSnapshot::build_incremental(
   auto snap =
       std::shared_ptr<MapSnapshot>(new MapSnapshot(delta.resolution, delta.params, epoch));
 
-  // Bucket the dirty branches' leaves; each branch run is re-sorted
-  // defensively (a no-op pass for the backends' canonical-per-branch
-  // exports, mirroring build()).
+  // Bucket the dirty branches' leaves and sort each branch run. The sort
+  // is required, not defensive: collect_branch_leaves() emits a branch in
+  // DFS (Morton) order, and packed() is z-major raster order, so e.g.
+  // (x=0, y=h-1) arrives before (x=h, y=0) although it sorts after it.
   std::array<std::vector<map::LeafRecord>, 8> runs;
   for (map::LeafRecord& leaf : delta.leaves) {
     runs[static_cast<std::size_t>(map::first_level_branch(leaf.key))].push_back(leaf);
@@ -155,7 +158,7 @@ std::shared_ptr<const MapSnapshot> MapSnapshot::build_incremental(
   for (int b = 0; b < 8; ++b) {
     const auto bi = static_cast<std::size_t>(b);
     if (delta.dirty_mask & (1u << b)) {
-      std::sort(runs[bi].begin(), runs[bi].end(), map::canonical_leaf_less);
+      map::sort_canonical(runs[bi]);
       snap->chunks_[bi] = build_chunk(std::move(runs[bi]));
       if (snap->chunks_[bi]) {
         local.chunks_rebuilt++;
@@ -234,7 +237,7 @@ void MapSnapshot::ensure_flat() const {
   // Branch runs interleave in global packed order (the top bit of each
   // axis is not the most significant sort bit), so one global sort merges
   // them; each run is already sorted, which keeps the pass cheap.
-  std::sort(flat.begin(), flat.end(), map::canonical_leaf_less);
+  map::sort_canonical(flat);
   leaves_cache_ = std::move(flat);
   content_hash_cache_ = map::hash_leaf_records(map::normalize_to_depth1(leaves_cache_));
   lazy_ready_.store(true, std::memory_order_release);

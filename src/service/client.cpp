@@ -1,6 +1,5 @@
 #include "service/client.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <thread>
 #include <utility>
@@ -24,7 +23,7 @@ void SubscriptionMirror::apply(const DeltaEvent& event) {
     for (const auto& [key, leaves] : shards_) {
       merged.insert(merged.end(), leaves.begin(), leaves.end());
     }
-    std::sort(merged.begin(), merged.end(), map::canonical_leaf_less);
+    map::sort_canonical(merged);
     const uint64_t hash = map::hash_leaf_records(map::normalize_to_depth1(std::move(merged)));
     if (hash != event.publisher_hash) ++mismatches_;
   }
@@ -36,7 +35,7 @@ uint64_t SubscriptionMirror::content_hash() const {
   for (const auto& [key, leaves] : shards_) {
     merged.insert(merged.end(), leaves.begin(), leaves.end());
   }
-  std::sort(merged.begin(), merged.end(), map::canonical_leaf_less);
+  map::sort_canonical(merged);
   return map::hash_leaf_records(map::normalize_to_depth1(std::move(merged)));
 }
 

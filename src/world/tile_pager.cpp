@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 
 #include "io/framing.hpp"
@@ -56,33 +57,57 @@ std::string TilePager::tile_file(TileId id) const {
   return WorldManifest::tile_path(cfg_.directory, grid_, unpack_tile(id));
 }
 
-std::unique_ptr<map::TileBackend> TilePager::load_file(TileId id, const Slot& slot) const {
+std::unique_ptr<map::TileBackend> TilePager::load_file(TileId id, Slot& slot) {
   const std::string name = grid_.tile_name(unpack_tile(id));
   const std::string path = tile_file(id);
-  std::ifstream is(path, std::ios::binary);
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
   if (!is) {
     throw std::runtime_error("TilePager: cannot open tile " + name + " (" + path + ")");
   }
+  std::string bytes(static_cast<std::size_t>(is.tellg()), '\0');
+  is.seekg(0);
+  is.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (!is) throw std::runtime_error("TilePager: cannot read tile " + name + " (" + path + ")");
+  const std::optional<uint64_t> checksum = io::frame_checksum(bytes);
   std::unique_ptr<map::TileBackend> handle;
   try {
-    handle = factory_->load(is);
+    std::istringstream frame(std::move(bytes), std::ios::binary);
+    handle = factory_->load(frame);
   } catch (const std::runtime_error& e) {
     throw std::runtime_error("TilePager: tile " + name + " is corrupt: " + e.what());
+  }
+  // The frame reader has verified the payload against `checksum`; a file
+  // this session wrote must also carry the checksum recorded then.
+  if (slot.file_checksum.has_value()) {
+    if (checksum != slot.file_checksum) {
+      throw std::runtime_error("TilePager: tile " + name +
+                               " is not the file last written for it (stale or swapped file)");
+    }
+    return handle;
   }
   const SavedInfo sig = tile_signature(handle->backend());
   if (sig.content_hash != slot.saved.content_hash || sig.leaf_count != slot.saved.leaf_count) {
     throw std::runtime_error("TilePager: tile " + name +
                              " content does not match the manifest (stale or swapped file)");
   }
+  slot.file_checksum = checksum;
   return handle;
 }
 
 void TilePager::write_file(TileId id, Slot& slot) {
   slot.handle->backend().flush();
+  std::ostringstream frame(std::ios::binary);
+  slot.handle->save(frame);
+  const std::string bytes = std::move(frame).str();
   // Temp file + rename: an interrupted write must never clobber the only
   // on-disk copy of an (evicted) tile with a truncated stream.
-  io::commit_file(tile_file(id), [&slot](std::ostream& os) { slot.handle->save(os); },
-                  "TilePager");
+  io::commit_file(
+      tile_file(id),
+      [&bytes](std::ostream& os) {
+        os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      },
+      "TilePager");
+  slot.file_checksum = io::frame_checksum(bytes);
   slot.saved = tile_signature(slot.handle->backend());
   slot.dirty = false;
   slot.on_disk = true;
@@ -167,22 +192,40 @@ void TilePager::evict(TileId id, Slot& slot) {
   counters_.evictions++;
 }
 
-TilePager::Slot* TilePager::lru_victim(TileId keep, TileId* victim_id) {
+TilePager::Slot* TilePager::lru_victim(TileId keep, bool allow_pinned, TileId* victim_id) {
   Slot* victim_slot = nullptr;
+  bool victim_pinned = false;
   for (auto& [id, slot] : slots_) {
     if (slot.handle == nullptr || id == keep) continue;
-    if (victim_slot == nullptr || slot.lru_tick < victim_slot->lru_tick) {
+    const bool is_pinned = pinned(slot);
+    if (is_pinned && !allow_pinned) continue;
+    // Unpinned beats pinned; least recently used wins within each.
+    const bool better = victim_slot == nullptr || (victim_pinned && !is_pinned) ||
+                        (victim_pinned == is_pinned && slot.lru_tick < victim_slot->lru_tick);
+    if (better) {
       *victim_id = id;
       victim_slot = &slot;
+      victim_pinned = is_pinned;
     }
   }
   return victim_slot;
 }
 
+TilePager::PinnedBatch TilePager::pin_batch(const std::vector<TileId>& pending) {
+  open_batch_ = ++last_batch_;
+  for (const TileId id : pending) {
+    const auto it = slots_.find(id);
+    if (it != slots_.end()) it->second.pinned_in = open_batch_;
+  }
+  return PinnedBatch(*this);
+}
+
+void TilePager::unpin(TileId id) { slots_.at(id).pinned_in = 0; }
+
 void TilePager::rebalance(TileId keep) {
   while (cfg_.byte_budget > 0 && resident_bytes_ > cfg_.byte_budget && resident_tiles_ > 0) {
     TileId victim = 0;
-    Slot* victim_slot = lru_victim(keep, &victim);
+    Slot* victim_slot = lru_victim(keep, /*allow_pinned=*/true, &victim);
     if (victim_slot == nullptr) break;  // only `keep` is resident
     evict(victim, *victim_slot);
   }
@@ -192,7 +235,7 @@ void TilePager::rebalance(TileId keep) {
   // arbiter budget means unbounded — attached for accounting only.
   while (arbiter_->total_bytes() > arbiter_->budget() && resident_tiles_ > 0) {
     TileId victim = 0;
-    Slot* victim_slot = lru_victim(keep, &victim);
+    Slot* victim_slot = lru_victim(keep, /*allow_pinned=*/true, &victim);
     if (victim_slot == nullptr) break;  // down to the hot tile: the floor
     evict(victim, *victim_slot);
   }
@@ -219,17 +262,8 @@ void TilePager::attach_arbiter(BudgetArbiter* arbiter, uint64_t participant_id) 
 std::size_t TilePager::shed(std::size_t want_bytes) {
   std::size_t freed = 0;
   while (freed < want_bytes && resident_tiles_ > 0) {
-    // No tile is hot here — the owner is idle (try_shed holds its world
-    // mutex) — so every resident tile is evictable, true LRU first.
     TileId victim = 0;
-    Slot* victim_slot = nullptr;
-    for (auto& [id, slot] : slots_) {
-      if (slot.handle == nullptr) continue;
-      if (victim_slot == nullptr || slot.lru_tick < victim_slot->lru_tick) {
-        victim = id;
-        victim_slot = &slot;
-      }
-    }
+    Slot* victim_slot = lru_victim(kNoTile, /*allow_pinned=*/false, &victim);
     if (victim_slot == nullptr) break;
     freed += victim_slot->bytes;
     evict(victim, *victim_slot);
@@ -239,8 +273,8 @@ std::size_t TilePager::shed(std::size_t want_bytes) {
 
 uint64_t TilePager::version(TileId id) const { return slots_.at(id).version; }
 
-std::unique_ptr<map::TileBackend> TilePager::read_transient(TileId id) const {
-  const Slot& slot = slots_.at(id);
+std::unique_ptr<map::TileBackend> TilePager::read_transient(TileId id) {
+  Slot& slot = slots_.at(id);
   counters_.transient_reads++;
   return load_file(id, slot);
 }

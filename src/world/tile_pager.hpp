@@ -6,14 +6,28 @@
 // only way in: it creates a fresh tile, returns the resident one, or
 // transparently reloads an evicted one from disk — the synchronous paging
 // path both updates and live queries go through. rebalance() writes back
-// and drops least-recently-used tiles until resident bytes fit the budget
-// again (the caller's hot tile is never evicted under it).
+// and drops resident tiles until resident bytes fit the budget again (the
+// caller's hot tile is never evicted under it).
+//
+// Victim policy: least recently used, except for the tiles an apply batch
+// still has to update. The world pins a batch's tiles (pin_batch) and
+// unpins each once it is applied; victims come from the unpinned tiles
+// first, LRU among them, and only when nothing unpinned is resident from
+// the pinned ones, LRU again. Without the pins, plain LRU picks exactly
+// the tiles the batch has not reached yet (last touched one batch ago),
+// and each of them pays a write and a reload within the same batch. All
+// pins expire when the batch's PinnedBatch scope ends, also by exception.
 //
 // Persistence integrity: every tile write records the tile's canonical
-// content hash and leaf count (the manifest's per-tile entries), and every
-// read back — paging or transient — recomputes and verifies that hash, so
-// a corrupt, truncated, stale or swapped tile file fails with a clean
-// std::runtime_error naming the tile, never a silently different map.
+// content hash and leaf count (the manifest's per-tile entries) and the
+// FNV-1a checksum of the file's frame. A read back — paging or transient
+// — of a tile written in this session requires the checksum the frame
+// reader verified to equal the recorded one: a corrupt, truncated, stale
+// or swapped tile file fails with a clean std::runtime_error naming the
+// tile, never a silently different map. A tile registered from a manifest
+// (open()) has no recorded checksum; its first read back recomputes the
+// canonical content hash against the manifest entry instead and then
+// records the checksum for later reads.
 //
 // Not internally synchronized: the owning TiledWorldMap serializes all
 // access under its own mutex (immutable WorldQueryViews are the
@@ -22,6 +36,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -75,8 +90,22 @@ struct TilePagerStats {
 /// LRU pager over per-tile MapBackends.
 class TilePager {
  public:
-  /// Recorded at each tile write; reproduced in the world manifest and
-  /// verified on every read back.
+  /// The pins of one apply batch (see pin_batch()); they all expire when
+  /// this scope ends, normally or by exception.
+  class [[nodiscard]] PinnedBatch {
+   public:
+    explicit PinnedBatch(TilePager& pager) : pager_(pager) {}
+    ~PinnedBatch() { pager_.open_batch_ = 0; }
+    PinnedBatch(const PinnedBatch&) = delete;
+    PinnedBatch& operator=(const PinnedBatch&) = delete;
+
+   private:
+    TilePager& pager_;
+  };
+
+  /// Recorded at each tile write and reproduced in the world manifest; the
+  /// first read back of a tile registered from a manifest is verified
+  /// against it.
   struct SavedInfo {
     uint64_t content_hash = 0;
     uint64_t leaf_count = 0;
@@ -110,19 +139,27 @@ class TilePager {
   /// and bumps its content version (see version()).
   void mark_dirty(TileId id);
 
-  /// Evicts least-recently-used resident tiles — writing dirty ones back —
-  /// until resident bytes fit the budget; `keep` is never evicted. Updates
-  /// peak_resident_bytes. No-op when unbounded.
+  /// Evicts resident tiles — writing dirty ones back, unpinned ones first,
+  /// least recently used first within each — until resident bytes fit the
+  /// budget; `keep` is never evicted. Updates peak_resident_bytes. No-op
+  /// when unbounded.
   void rebalance(TileId keep);
+
+  /// Opens a batch and pins its known tiles in `pending` (a batch's tile
+  /// list) until each is unpin()ed or the returned scope ends.
+  PinnedBatch pin_batch(const std::vector<TileId>& pending);
+
+  /// Releases one tile's pin (its part of the batch is applied).
+  void unpin(TileId id);
 
   /// Monotonic per-tile content version (bumped by mark_dirty); lets view
   /// capture reuse cached per-tile snapshots across evict/reload cycles,
   /// since an evicted tile's content cannot change.
   uint64_t version(TileId id) const;
 
-  /// Loads an evicted tile from disk without making it resident (content
-  /// hash verified). Precondition: known(id) && !resident(id).
-  std::unique_ptr<map::TileBackend> read_transient(TileId id) const;
+  /// Loads an evicted tile from disk without making it resident (verified
+  /// like a reload). Precondition: known(id) && !resident(id).
+  std::unique_ptr<map::TileBackend> read_transient(TileId id);
 
   /// Writes every dirty resident tile to disk (keeping it resident).
   void write_back_all();
@@ -157,10 +194,11 @@ class TilePager {
   /// governed by the shared budget alone). Null detaches.
   void attach_arbiter(BudgetArbiter* arbiter, uint64_t participant_id);
 
-  /// Evicts least-recently-used resident tiles until `want_bytes` are
-  /// freed or nothing is resident; returns the bytes freed. The arbiter's
+  /// Evicts least-recently-used unpinned tiles until `want_bytes` are
+  /// freed or none is resident; returns the bytes freed. The arbiter's
   /// cross-participant eviction path (the owner is idle when this runs —
-  /// TiledWorldMap::try_shed holds the world mutex).
+  /// TiledWorldMap::try_shed holds the world mutex — so no batch is open
+  /// and no tile is pinned).
   std::size_t shed(std::size_t want_bytes);
 
  private:
@@ -170,25 +208,37 @@ class TilePager {
     bool on_disk = false;    ///< a tile file exists
     uint64_t lru_tick = 0;   ///< recency (higher = more recent)
     uint64_t version = 1;    ///< content version (mark_dirty bumps)
+    uint64_t pinned_in = 0;  ///< batch that pinned it; pinned while that batch is open
     std::size_t bytes = 0;   ///< counted toward resident_bytes
     SavedInfo saved{};       ///< as of the last write
+    /// Frame checksum of the tile file, recorded when this session wrote
+    /// or first verified it. Nullopt until then, or when the tile's save()
+    /// is not one v2 frame: such reads fall back to the content hash.
+    std::optional<uint64_t> file_checksum;
   };
 
+  /// Never a packed tile id (those use 48 bits): lru_victim's "keep none".
+  static constexpr TileId kNoTile = ~TileId{0};
+
   std::string tile_file(TileId id) const;
-  std::unique_ptr<map::TileBackend> load_file(TileId id, const Slot& slot) const;
+  std::unique_ptr<map::TileBackend> load_file(TileId id, Slot& slot);
   void write_file(TileId id, Slot& slot);
   void evict(TileId id, Slot& slot);
   void set_resident_bytes(Slot& slot, std::size_t bytes);
+  bool pinned(const Slot& slot) const { return open_batch_ != 0 && slot.pinned_in == open_batch_; }
 
   TilePagerConfig cfg_;
   const map::TileBackendFactory* factory_;
   TileGrid grid_;
   std::unordered_map<TileId, Slot> slots_;
-  /// Least-recently-used resident tile other than `keep` (nullptr when
-  /// none); shared by rebalance() and shed().
-  Slot* lru_victim(TileId keep, TileId* victim_id);
+  /// The resident tile to evict next other than `keep` (nullptr when
+  /// none): the least recently used unpinned tile, else — when
+  /// `allow_pinned` — the least recently used pinned one.
+  Slot* lru_victim(TileId keep, bool allow_pinned, TileId* victim_id);
 
   uint64_t lru_clock_ = 0;
+  uint64_t open_batch_ = 0;  ///< id of the open batch; 0 when none is open
+  uint64_t last_batch_ = 0;  ///< ids increase, so a stale pin never matches
   std::size_t resident_bytes_ = 0;
   BudgetArbiter* arbiter_ = nullptr;
   uint64_t arbiter_id_ = 0;

@@ -1,6 +1,5 @@
 #include "world/tiled_world_map.hpp"
 
-#include <algorithm>
 #include <filesystem>
 #include <stdexcept>
 #include <utility>
@@ -9,6 +8,28 @@
 #include "world/world_manifest.hpp"
 
 namespace omu::world {
+
+namespace {
+
+/// Applies a batch already split per tile (`apply_tile(backend, i)` applies
+/// the i-th tile's part) under the pager's budget. The tiles still to be
+/// applied stay pinned, so making room for one never evicts another the
+/// batch has not reached yet while any other tile can go instead.
+template <typename ApplyTile>
+void apply_per_tile(TilePager& pager, const std::vector<TileId>& ids, ApplyTile apply_tile) {
+  const TilePager::PinnedBatch pins = pager.pin_batch(ids);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const TileId id = ids[i];
+    apply_tile(pager.acquire(id).backend(), i);
+    pager.mark_dirty(id);
+    pager.unpin(id);
+    // Enforce the byte budget at the sub-batch boundary; the tile just
+    // written is the one tile never evicted under itself.
+    pager.rebalance(id);
+  }
+}
+
+}  // namespace
 
 TiledWorldMap::TiledWorldMap(TiledWorldConfig config, OpenTag)
     : cfg_(std::move(config)),
@@ -73,15 +94,8 @@ void TiledWorldMap::apply(const map::UpdateBatch& batch) {
       },
       split_);
 
-  for (std::size_t i = 0; i < split_ids_.size(); ++i) {
-    const TileId id = split_ids_[i];
-    map::TileBackend& tile = pager_.acquire(id);
-    tile.backend().apply(split_[i]);
-    pager_.mark_dirty(id);
-    // Enforce the byte budget at the batch boundary; the tile just
-    // written is the one tile never evicted under itself.
-    pager_.rebalance(id);
-  }
+  apply_per_tile(pager_, split_ids_,
+                 [this](map::MapBackend& tile, std::size_t i) { tile.apply(split_[i]); });
   updates_applied_ += batch.size();
   sync_manifest_locked();
 }
@@ -105,13 +119,9 @@ void TiledWorldMap::apply_aggregated(const std::vector<map::AggregatedVoxelDelta
     split[it->second].push_back(d);
   }
 
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const TileId id = ids[i];
-    map::TileBackend& tile = pager_.acquire(id);
-    tile.backend().apply_aggregated(split[i]);
-    pager_.mark_dirty(id);
-    pager_.rebalance(id);
-  }
+  apply_per_tile(pager_, ids, [&split](map::MapBackend& tile, std::size_t i) {
+    tile.apply_aggregated(split[i]);
+  });
   updates_applied_ += deltas.size();
   sync_manifest_locked();
 }
@@ -157,7 +167,7 @@ std::vector<map::LeafRecord> TiledWorldMap::leaves_sorted() const {
     }
     all.insert(all.end(), leaves.begin(), leaves.end());
   }
-  std::sort(all.begin(), all.end(), map::canonical_leaf_less);
+  map::sort_canonical(all);
   return all;
 }
 

@@ -4,6 +4,8 @@
 // constants on either side.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "accel/omu_accelerator.hpp"
 #include "geom/rng.hpp"
 #include "map/occupancy_octree.hpp"
@@ -24,6 +26,14 @@ struct ParamCase {
   float clamp_max;
   float threshold;
 };
+
+// Printed into each case's test name after "# GetParam() =". Without it
+// gtest dumps the struct's raw bytes, which include the name pointer and
+// padding, so the names changed from build to build.
+void PrintTo(const ParamCase& pc, std::ostream* os) {
+  *os << pc.name << " hit=" << pc.log_hit << " miss=" << pc.log_miss << " clamp=" << pc.clamp_min
+      << ".." << pc.clamp_max << " threshold=" << pc.threshold;
+}
 
 class ParamEquivalence : public ::testing::TestWithParam<ParamCase> {};
 
