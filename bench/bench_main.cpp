@@ -5,7 +5,7 @@
 //
 //   ./omu_bench                                 run everything, table report
 //   ./omu_bench --list                          show expanded case names
-//   ./omu_bench --filter 'pipeline' --repeats 5
+//   ./omu_bench --filter '^world/' --repeats 5
 //   ./omu_bench --repeats 1 --json bench.json   machine-readable output
 //   ./omu_bench --json new.json --baseline old.json --max-regress 10%
 //   ./omu_bench --compare new.json --baseline old.json --markdown

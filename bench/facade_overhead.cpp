@@ -4,7 +4,7 @@
 // identical subsystems and only adds a float-triple copy per scan on the
 // insert path and a shared_ptr hop on the query path.
 //
-//   facade/backend:{octree,sharded,world}
+//   facade/backend:{octree,world}
 //
 // Each case runs the FR-079 stream twice — once through a facade session,
 // once hand-wired — then hammers both read paths (facade MapView vs the
@@ -22,7 +22,6 @@
 #include "benchkit/benchmark.hpp"
 #include "geom/rng.hpp"
 #include "map/scan_inserter.hpp"
-#include "pipeline/sharded_map_pipeline.hpp"
 #include "query/map_snapshot.hpp"
 #include "world/tiled_world_map.hpp"
 
@@ -31,7 +30,6 @@ namespace {
 using namespace omu;
 
 constexpr int kQueries = 50000;
-constexpr int kShardThreads = 4;
 constexpr int kTileShift = 6;
 
 /// Classifies `n` pseudo-random metric positions inside the mapped
@@ -51,9 +49,7 @@ double measure_query_qps(int n, ClassifyFn&& classify_at) {
 
 MapperConfig config_for(const std::string& backend) {
   MapperConfig cfg = MapperConfig().resolution(0.2);
-  if (backend == "sharded") {
-    cfg.backend(BackendKind::kSharded).sharded({.threads = kShardThreads});
-  } else if (backend == "world") {
+  if (backend == "world") {
     cfg.backend(BackendKind::kTiledWorld).world({.tile_shift = kTileShift});
   }
   return cfg;
@@ -66,12 +62,6 @@ std::unique_ptr<map::MapBackend> hand_wired_backend(const std::string& backend,
   if (backend == "octree") {
     tree = std::make_unique<map::OccupancyOctree>(0.2);
     return std::make_unique<map::OctreeBackend>(*tree);
-  }
-  if (backend == "sharded") {
-    pipeline::ShardedPipelineConfig cfg;
-    cfg.shard_count = kShardThreads;
-    cfg.resolution = 0.2;
-    return std::make_unique<pipeline::ShardedMapPipeline>(cfg);
   }
   world::TiledWorldConfig cfg;
   cfg.resolution = 0.2;
@@ -162,7 +152,7 @@ void facade(benchkit::State& state) {
 
 benchkit::Family& facade_family =
     benchkit::register_family("facade", facade)
-        .axis("backend", std::vector<std::string>{"octree", "sharded", "world"})
+        .axis("backend", std::vector<std::string>{"octree", "world"})
         .default_repeats(1)
         .default_warmup(0);
 

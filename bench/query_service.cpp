@@ -8,12 +8,12 @@
 //   query_service/readers:N/writer:{off,on}
 //                               queries/second against the published
 //                               MapSnapshot, quiescent and with a live
-//                               sharded writer republishing at every flush
+//                               octree writer republishing every scan
 //
 // The FR-079 map is built once (shared fixture under paused timing): one
 // ray-casting pass, the identical batch applied to the software octree and
-// streamed into the accelerator, plus a sharded pipeline with an attached
-// QueryService.
+// streamed into the accelerator, plus a writer octree the QueryService
+// publishes from via refresh_from.
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -26,20 +26,20 @@
 #include "map/map_backend.hpp"
 #include "map/occupancy_octree.hpp"
 #include "map/scan_inserter.hpp"
-#include "pipeline/sharded_map_pipeline.hpp"
 #include "query/query_service.hpp"
 
 namespace {
 
 using namespace omu;
 
-/// Shared fixture: accelerator + serial octree + pipeline-backed query
-/// service, all integrating the identical FR-079 stream.
+/// Shared fixture: accelerator + serial octree + a writer octree feeding
+/// the query service, all integrating the identical FR-079 stream.
 struct QueryFixture {
   accel::OmuConfig cfg;
   std::unique_ptr<accel::OmuAccelerator> omu;
   map::OccupancyOctree tree{0.2};
-  pipeline::ShardedMapPipeline pipeline;
+  map::OccupancyOctree writer_tree{0.2};
+  map::OctreeBackend writer{writer_tree};
   query::QueryService service;
   geom::Aabb region;
   bool backends_identical = false;
@@ -58,17 +58,16 @@ struct QueryFixture {
     map::MapBackend* const backends[] = {&tree_backend, &omu_backend};
     map::ScanInserter inserter(tree_backend);
     map::UpdateBatch updates;
-    pipeline.attach_query_service(&service);
-    map::ScanInserter pipeline_inserter(pipeline);
+    map::ScanInserter writer_inserter(writer);
     for (std::size_t i = 0; i < dataset.scan_count(); ++i) {
       const data::DatasetScan scan = dataset.scan(i);
       updates.clear();
       inserter.collect_updates(scan.points, scan.pose.translation(), updates);
       for (map::MapBackend* backend : backends) backend->apply(updates);
-      pipeline_inserter.insert_scan(scan.points, scan.pose.translation());
+      writer_inserter.insert_scan(scan.points, scan.pose.translation());
     }
     for (map::MapBackend* backend : backends) backend->flush();
-    pipeline.flush();
+    service.refresh_from(writer);
     backends_identical = tree.content_hash() == omu->content_hash();
     snapshot_identical = service.snapshot()->content_hash() == tree.content_hash();
   }
@@ -223,15 +222,15 @@ void query_service(benchkit::State& state) {
   std::thread writer;
   const uint64_t pubs_before = f.service.publications();
   if (live_writer) {
-    // Live writer: re-stream the dataset into the pipeline, flushing (and
-    // therefore publishing a fresh snapshot) after every scan.
+    // Live writer: re-stream the dataset into the writer octree,
+    // publishing a fresh snapshot after every scan.
     writer = std::thread([&] {
-      map::ScanInserter writer_inserter(f.pipeline);
+      map::ScanInserter writer_inserter(f.writer);
       std::size_t i = 0;
       while (!writer_stop.load(std::memory_order_acquire)) {
         const data::DatasetScan& scan = scans[i++ % scans.size()];
         writer_inserter.insert_scan(scan.points, scan.pose.translation());
-        f.pipeline.flush();
+        f.service.refresh_from(f.writer);
       }
     });
   }

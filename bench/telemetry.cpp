@@ -3,7 +3,7 @@
 // the insert hot path — and prices the opt-in surfaces (trace journal,
 // export serialization).
 //
-//   telemetry/backend:{octree,sharded,hybrid}/mode:{off,on,journal}
+//   telemetry/backend:{octree,hybrid}/mode:{off,on,journal}
 //
 // Each case streams FR-079 through a facade session with the given
 // TelemetryOptions. The `on` cases ALSO stream an identical metrics-off
@@ -38,9 +38,7 @@ constexpr double kAbsSlackSeconds = 0.05;
 
 MapperConfig config_for(const std::string& backend, const TelemetryOptions& telemetry) {
   MapperConfig cfg = MapperConfig().resolution(0.2).telemetry(telemetry);
-  if (backend == "sharded") {
-    cfg.backend(BackendKind::kSharded).sharded({.threads = 2});
-  } else if (backend == "hybrid") {
+  if (backend == "hybrid") {
     cfg.backend(BackendKind::kHybrid).hybrid({.window_voxels = 64});
   }
   return cfg;
@@ -141,7 +139,7 @@ void telemetry_bench(benchkit::State& state) {
 
 benchkit::Family& telemetry_family =
     benchkit::register_family("telemetry", telemetry_bench)
-        .axis("backend", std::vector<std::string>{"octree", "sharded", "hybrid"})
+        .axis("backend", std::vector<std::string>{"octree", "hybrid"})
         .axis("mode", std::vector<std::string>{"off", "on", "journal"})
         .default_repeats(1)
         .default_warmup(0);

@@ -2,10 +2,10 @@
 //
 // A MapperConfig describes a whole mapping session: metric resolution,
 // sensor model, which backend integrates updates (serial octree, the OMU
-// accelerator model, the key-sharded thread pipeline, the tiled
-// out-of-core world map, or the hybrid dense-front write absorber), and
-// the mode-specific knobs grouped into one options struct per backend
-// (ShardedOptions, WorldOptions, HybridOptions, AcceleratorOptions).
+// accelerator model, the tiled out-of-core world map, or the hybrid
+// dense-front write absorber), and the mode-specific knobs grouped into
+// one options struct per backend (WorldOptions, HybridOptions,
+// AcceleratorOptions).
 // Mapper::create validates the combination up front and returns an
 // actionable Status::invalid_argument naming the offending field and
 // value — a misconfiguration is told at build time, never via a deep
@@ -14,8 +14,8 @@
 //   auto mapper = omu::Mapper::create(
 //       omu::MapperConfig()
 //           .resolution(0.2)
-//           .backend(omu::BackendKind::kSharded)
-//           .sharded({.threads = 4}));
+//           .backend(omu::BackendKind::kTiledWorld)
+//           .world({.directory = "campus_world", .resident_byte_budget = 64 << 20}));
 //
 // This header is part of the installed public API and must stay
 // self-contained: it may include only the C++ standard library and other
@@ -39,13 +39,13 @@ struct OmuConfig;  // internal accelerator model configuration (src/accel)
 
 namespace omu {
 
-/// Which engine integrates the voxel-update stream.
+/// Which engine integrates the voxel-update stream. The values travel
+/// on the wire (service SessionSpec); 2 is retired and never reused.
 enum class BackendKind {
-  kOctree,      ///< serial software octree (the reference implementation)
-  kAccelerator, ///< cycle-level OMU accelerator model
-  kSharded,     ///< key-sharded parallel pipeline (N threads, private shards)
-  kTiledWorld,  ///< tiled out-of-core world map (disk paging, bounded RAM)
-  kHybrid,      ///< dense scrolling-window write absorber over a back backend
+  kOctree = 0,       ///< serial software octree (the reference implementation)
+  kAccelerator = 1,  ///< cycle-level OMU accelerator model
+  kTiledWorld = 3,   ///< tiled out-of-core world map (disk paging, bounded RAM)
+  kHybrid = 4,       ///< dense scrolling-window write absorber over a back backend
 };
 
 /// Short stable name of a backend kind ("octree", "accelerator", ...).
@@ -81,13 +81,6 @@ struct AcceleratorOptions {
   bool reuse_pruned_rows = true;     ///< prune address manager row recycling
 };
 
-/// Options of the key-sharded pipeline (BackendKind::kSharded, or the
-/// back backend of a hybrid session).
-struct ShardedOptions {
-  std::size_t threads = 1;       ///< worker threads / private octree shards
-  std::size_t queue_depth = 64;  ///< per-shard channel capacity in sub-batches
-};
-
 /// Options of the tiled out-of-core world map (BackendKind::kTiledWorld,
 /// or the back backend of a hybrid session).
 struct WorldOptions {
@@ -114,8 +107,8 @@ struct HybridOptions {
   std::size_t flush_high_water = 0;
   /// The durable map behind the window. Any kind except kAccelerator
   /// (its map lives in modeled TreeMem and cannot absorb aggregated
-  /// deltas) and kHybrid (no nesting). Configure it through sharded() /
-  /// world() as usual.
+  /// deltas) and kHybrid (no nesting). Configure a kTiledWorld back
+  /// through world() as usual.
   BackendKind back_backend = BackendKind::kOctree;
 };
 
@@ -143,13 +136,6 @@ class MapperConfig {
   /// Log-odds sensor model + insertion policy.
   MapperConfig& sensor_model(const SensorModel& model) {
     sensor_model_ = model;
-    return *this;
-  }
-
-  /// Sharded-pipeline options (kSharded sessions, or hybrid sessions
-  /// whose back_backend is kSharded).
-  MapperConfig& sharded(const ShardedOptions& options) {
-    sharded_ = options;
     return *this;
   }
 
@@ -193,7 +179,6 @@ class MapperConfig {
   double resolution() const { return resolution_; }
   BackendKind backend() const { return backend_; }
   const SensorModel& sensor_model() const { return sensor_model_; }
-  const ShardedOptions& sharded() const { return sharded_; }
   const WorldOptions& world() const { return world_; }
   const HybridOptions& hybrid() const { return hybrid_; }
   const TelemetryOptions& telemetry() const { return telemetry_; }
@@ -209,7 +194,6 @@ class MapperConfig {
   double resolution_ = 0.2;
   BackendKind backend_ = BackendKind::kOctree;
   SensorModel sensor_model_{};
-  ShardedOptions sharded_{};
   WorldOptions world_{};
   HybridOptions hybrid_{};
   TelemetryOptions telemetry_{};

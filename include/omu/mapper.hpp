@@ -9,8 +9,8 @@
 //               -> save/save_map -> close
 //
 // Internally the facade composes the existing subsystems — the serial
-// octree, the OMU accelerator model, the key-sharded thread pipeline, the
-// tiled out-of-core world map, the hybrid dense-front write absorber
+// octree, the OMU accelerator model, the tiled out-of-core world map, the
+// hybrid dense-front write absorber
 // (a scrolling voxel window that follows the sensor origin and flushes
 // aggregated per-voxel deltas into a back backend), and the concurrent
 // query/view services —
@@ -56,9 +56,6 @@ class OccupancyOctree;
 }  // namespace omu::map
 namespace omu::accel {
 class OmuAccelerator;
-}
-namespace omu::pipeline {
-class ShardedMapPipeline;
 }
 namespace omu::world {
 class TiledWorldMap;
@@ -148,8 +145,8 @@ class Mapper {
     return insert(rays.empty() ? nullptr : rays.data(), rays.size());
   }
 
-  /// Retires any asynchronous backlog (sharded queues, accelerator
-  /// pipeline, dirty tiles) and publishes a fresh snapshot/view — the
+  /// Retires any pending backlog (accelerator pipeline, absorber window,
+  /// dirty tiles) and publishes a fresh snapshot/view — the
   /// epoch boundary snapshot() readers observe.
   Status flush();
 
@@ -190,7 +187,7 @@ class Mapper {
   const MapperConfig& config() const;
   BackendKind backend() const;
   /// Backend's human-readable name ("octree", "omu-accelerator",
-  /// "sharded-pipeline[n]", "tiled-world[...]").
+  /// "tiled-world/shift:12", "hybrid[...]").
   std::string backend_name() const;
   double resolution() const;
 
@@ -224,11 +221,10 @@ class Mapper {
   /// Mode-specific engines; nullptr when the session runs another backend.
   map::OccupancyOctree* internal_octree();
   accel::OmuAccelerator* internal_accelerator();
-  pipeline::ShardedMapPipeline* internal_pipeline();
   world::TiledWorldMap* internal_world();
   /// The hybrid write absorber (kHybrid sessions). The back backend is
   /// still reachable through the engine accessors above (e.g.
-  /// internal_pipeline() for a hybrid-over-sharded session).
+  /// internal_world() for a hybrid-over-world session).
   localgrid::HybridMapBackend* internal_hybrid();
   /// The snapshot publication service (non-world sessions; nullptr for
   /// kTiledWorld, whose views publish through its internal view service).

@@ -4,8 +4,7 @@
 //
 //   auto mapper = omu::Mapper::create(omu::MapperConfig()
 //                                         .resolution(0.2)
-//                                         .backend(omu::BackendKind::kSharded)
-//                                         .sharded({.threads = 4}));
+//                                         .backend(omu::BackendKind::kOctree));
 //   if (!mapper.ok()) { /* mapper.status() names the offending field */ }
 //   mapper->insert(points, origin);
 //   mapper->flush();

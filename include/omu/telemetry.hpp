@@ -4,7 +4,7 @@
 // Mapper::telemetry() returns one of these: every named counter, gauge
 // and latency histogram the session's subsystems recorded (hierarchical
 // dotted names — "ingest.insert_ns", "publish.splice_ns",
-// "paging.evict_ns", "absorber.drain_ns", "pipeline.shard0.queue_depth"),
+// "paging.evict_ns", "absorber.drain_ns"),
 // plus the bounded trace journal when TelemetryOptions::journal is on.
 // The snapshot is a plain value: exporting costs the session nothing
 // beyond relaxed loads, and the result can cross threads/processes freely.

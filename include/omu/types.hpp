@@ -122,8 +122,7 @@ struct MapperStats {
   /// rebuilds only what changed since the previous epoch and shares the
   /// rest with it, and a flush with no changes publishes nothing. The
   /// sharing unit is a first-level branch chunk for octree / accelerator
-  /// / sharded / hybrid sessions and a tile snapshot for tiled-world
-  /// sessions.
+  /// / hybrid sessions and a tile snapshot for tiled-world sessions.
   struct Publication {
     uint64_t snapshots_published = 0;       ///< epochs readers actually saw
     uint64_t incremental_publications = 0;  ///< spliced onto the previous epoch

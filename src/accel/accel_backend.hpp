@@ -1,7 +1,8 @@
 // MapBackend adapter over the OMU accelerator model.
 //
 // Lets the accelerator sit behind the same interface as the software
-// octree and the sharded pipeline: batches stream in via feed_updates
+// octree, the tiled world and the hybrid absorber: batches stream in via
+// feed_updates
 // (scans pipeline back-to-back exactly as in a deployed system), flush()
 // drains the engine, queries go through the accelerator's query unit, and
 // the leaf export is the canonical depth>=1 form of the PE TreeMems (see

@@ -2,7 +2,7 @@
 //
 // A *family* is a named benchmark function plus zero or more parameter
 // axes; the runner expands the cartesian product of the axes into *cases*
-// named `family/key:value/key2:value2` (e.g. `pipeline_speedup/threads:4`).
+// named `family/key:value/key2:value2` (e.g. `query_service/readers:4`).
 // Registration happens at static-init time via OMU_BENCHMARK, so linking a
 // bench translation unit into the runner is all it takes to enroll it.
 //

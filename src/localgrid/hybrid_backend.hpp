@@ -4,7 +4,7 @@
 // High-rate updates near the sensor land in the dense window at array
 // speed; everything the window does not cover passes straight through to
 // the back backend. Aggregated per-voxel deltas flush into the back —
-// octree, sharded pipeline or tiled world, all through
+// octree or tiled world, both through
 // MapBackend::apply_aggregated — when the window scrolls (follow()), on an
 // explicit flush()/snapshot export, or when the dirty-voxel high-water
 // mark trips. This is the dense-front/sparse-back architecture of OHM and

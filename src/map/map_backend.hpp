@@ -4,14 +4,15 @@
 // Stage 3 of the scan-ingest pipeline dispatches UpdateBatches to a
 // MapBackend; today's implementations are the serial software octree
 // (OctreeBackend below), the OMU accelerator model
-// (accel::AcceleratorBackend) and the key-sharded thread pipeline
-// (pipeline::ShardedMapPipeline). All of them integrate the same batches
+// (accel::AcceleratorBackend), the tiled out-of-core world map
+// (world::TiledWorldMap) and the hybrid write absorber
+// (localgrid::HybridMapBackend). All of them integrate the same batches
 // and export the same canonical leaf records, so maps built on any backend
 // can be compared bit for bit — the property every equivalence suite in
 // tests/ leans on.
 //
-// apply() may be asynchronous (the accelerator streams, the pipeline
-// queues); flush() is the barrier that retires any backlog. classify() and
+// apply() may be deferred (the accelerator streams, the hybrid window
+// absorbs); flush() is the barrier that retires any backlog. classify() and
 // the leaf exports reflect the updates applied so far — call flush() first
 // when an exact point-in-time snapshot is needed.
 #pragma once

@@ -7,8 +7,8 @@
 //   2. dedup policy (dedup_policy.hpp) — kRayByRay streams raw updates,
 //      kDiscretized de-duplicates within the scan (see insert_policy.hpp);
 //   3. dispatch (map_backend.hpp) — the resulting UpdateBatch is applied
-//      to a MapBackend: the serial octree, the accelerator model, or the
-//      sharded thread pipeline.
+//      to a MapBackend: the serial octree, the accelerator model, the
+//      tiled world or the hybrid absorber.
 // Both insert modes produce the same kind of UpdateBatch, and any backend
 // consumes it, so one ray-cast scan can drive every platform with
 // bit-identical work.
@@ -36,7 +36,7 @@ class ScanInserter {
   /// the inserter (the classic OctoMap-style usage).
   explicit ScanInserter(OccupancyOctree& tree, InsertPolicy policy = InsertPolicy{});
 
-  /// Dispatches to an arbitrary backend (accelerator, sharded pipeline, ...).
+  /// Dispatches to an arbitrary backend (accelerator, tiled world, ...).
   explicit ScanInserter(MapBackend& backend, InsertPolicy policy = InsertPolicy{});
 
   ScanInserter(const ScanInserter&) = delete;

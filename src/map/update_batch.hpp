@@ -1,6 +1,6 @@
 // The unit of work flowing out of ray casting.
 //
-// Every ingest path — the software octree, the sharded pipeline and the
+// Every ingest path — the software octree, the tiled world and the
 // accelerator model — consumes the same batches of voxel updates, so a
 // scan ray-cast once can be applied to any number of backends and the
 // resulting maps compared bit for bit. A batch owns its storage and is

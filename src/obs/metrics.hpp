@@ -17,7 +17,7 @@
 // bucket i >= 1 counts values in [2^(i-1), 2^i - 1]. With 64 buckets any
 // uint64 nanosecond latency fits, quantiles are derivable from any
 // snapshot with a worst-case factor-2 value error (linear interpolation
-// inside the bucket does much better in practice), and merging per-shard
+// inside the bucket does much better in practice), and merging two
 // histograms is elementwise addition.
 //
 // The OMU_TELEMETRY=OFF build keeps these types compiling (telemetry.hpp
@@ -82,7 +82,7 @@ struct HistogramSnapshot {
     return (uint64_t{1} << i) - 1;
   }
 
-  /// Elementwise merge (the per-shard aggregation primitive).
+  /// Elementwise merge (the aggregation primitive across sources).
   void merge(const HistogramSnapshot& other);
 
   /// Quantile estimate for q in [0, 1]: finds the bucket holding the
@@ -138,7 +138,7 @@ struct MetricSample {
 
 /// Named metric registry. Registration (the only locked path) is
 /// get-or-create and returns a pointer stable for the registry's lifetime;
-/// hierarchical dotted names ("ingest.insert_ns", "pipeline.shard0.apply_ns")
+/// hierarchical dotted names ("ingest.insert_ns", "paging.evict_ns")
 /// are the export taxonomy. Registering one name as two different kinds is
 /// a programmer error and throws std::logic_error.
 class MetricRegistry {

@@ -138,7 +138,7 @@ std::string TelemetrySnapshot::to_json() const {
 namespace {
 
 /// Prometheus metric name: omu_ prefix, dots and braces flattened to
-/// underscores ("pipeline.shard0.queue_depth" -> "omu_pipeline_shard0_queue_depth").
+/// underscores ("paging.evict_ns" -> "omu_paging_evict_ns").
 std::string prometheus_name(const std::string& name) {
   std::string out = "omu_";
   for (char c : name) {

@@ -24,6 +24,21 @@ std::string fmt(T value) {
 
 bool is_power_of_two(uint32_t v) { return v != 0 && (v & (v - 1)) == 0; }
 
+/// Rejects a `field` holding no BackendKind enumerator (a value cast from
+/// a wire byte or an integer may name none), naming the value it held.
+Status validate_backend_kind(const char* field, BackendKind kind) {
+  switch (kind) {
+    case BackendKind::kOctree:
+    case BackendKind::kAccelerator:
+    case BackendKind::kTiledWorld:
+    case BackendKind::kHybrid: return Status();
+  }
+  return Status::invalid_argument(std::string(field) + ": unknown backend kind " +
+                                  fmt(static_cast<int>(kind)) +
+                                  " (expected kOctree=0, kAccelerator=1, kTiledWorld=3 or "
+                                  "kHybrid=4)");
+}
+
 /// Range/sanity checks shared by AcceleratorOptions and a full OmuConfig
 /// (`field` is the builder-field prefix for the error message).
 Status validate_accel_shape(const std::string& field, std::size_t pe_count,
@@ -53,7 +68,6 @@ const char* to_string(BackendKind kind) {
   switch (kind) {
     case BackendKind::kOctree: return "octree";
     case BackendKind::kAccelerator: return "accelerator";
-    case BackendKind::kSharded: return "sharded";
     case BackendKind::kTiledWorld: return "tiled-world";
     case BackendKind::kHybrid: return "hybrid";
   }
@@ -68,6 +82,10 @@ MapperConfig& MapperConfig::accelerator_config(const accel::OmuConfig& config) {
 // ---- Validation -------------------------------------------------------------
 
 Status MapperConfig::validate() const {
+  if (Status s = validate_backend_kind("backend", backend_); !s.ok()) return s;
+  if (Status s = validate_backend_kind("hybrid.back_backend", hybrid_.back_backend); !s.ok()) {
+    return s;
+  }
   if (!(resolution_ > 0.0) || !std::isfinite(resolution_)) {
     return Status::invalid_argument(
         "resolution: must be a positive finite voxel edge length in metres, got " +
@@ -95,23 +113,6 @@ Status MapperConfig::validate() const {
   // for hybrid, the back backend's knobs apply.
   const bool is_hybrid = backend_ == BackendKind::kHybrid;
   const BackendKind effective = is_hybrid ? hybrid_.back_backend : backend_;
-
-  if (sharded_.threads == 0) {
-    return Status::invalid_argument(
-        "sharded.threads: must be >= 1, got 0 (use 1 for a single-worker session)");
-  }
-  if (sharded_.threads > 1 && effective != BackendKind::kSharded) {
-    return Status::invalid_argument(
-        "sharded.threads: " + fmt(sharded_.threads) +
-        " worker threads require backend(BackendKind::kSharded)" +
-        (is_hybrid ? std::string(" behind the hybrid window (HybridOptions::back_backend)")
-                   : std::string()) +
-        "; the " + std::string(to_string(effective)) +
-        " backend integrates on the calling thread");
-  }
-  if (sharded_.queue_depth == 0) {
-    return Status::invalid_argument("sharded.queue_depth: must be >= 1 sub-batches, got 0");
-  }
 
   const bool wants_world = !world_.directory.empty() || world_.resident_byte_budget > 0;
   if (wants_world && effective != BackendKind::kTiledWorld) {
@@ -160,7 +161,7 @@ Status MapperConfig::validate() const {
     if (hybrid_.back_backend == BackendKind::kHybrid) {
       return Status::invalid_argument(
           "hybrid.back_backend: kHybrid cannot nest inside itself; pick the durable map kind "
-          "(kOctree, kSharded or kTiledWorld)");
+          "(kOctree or kTiledWorld)");
     }
     if (!is_power_of_two(hybrid_.window_voxels) || hybrid_.window_voxels < 2 ||
         hybrid_.window_voxels > 256) {

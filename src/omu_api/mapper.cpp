@@ -1,5 +1,5 @@
 // omu::Mapper implementation: composes the internal subsystems (octree /
-// accelerator / sharded pipeline / tiled world + query services) behind
+// accelerator / tiled world / hybrid absorber + query services) behind
 // the public facade, and translates internal exceptions into Status at
 // the boundary.
 #include "omu/mapper.hpp"
@@ -20,7 +20,6 @@
 #include "obs/telemetry.hpp"
 #include "omu_api/convert.hpp"
 #include "omu_api/view_rep.hpp"
-#include "pipeline/sharded_map_pipeline.hpp"
 #include "query/query_service.hpp"
 #include "world/tiled_world_map.hpp"
 #include "world/world_manifest.hpp"
@@ -84,7 +83,6 @@ struct Mapper::Impl {
   std::unique_ptr<map::OctreeBackend> octree_backend;
   std::unique_ptr<accel::OmuAccelerator> accelerator;
   std::unique_ptr<accel::AcceleratorBackend> accel_backend;
-  std::unique_ptr<pipeline::ShardedMapPipeline> sharded;
   std::unique_ptr<world::TiledWorldMap> world;
   // Hybrid sessions wrap one of the engines above (the back backend stays
   // in its slot); `backend` then points at the hybrid.
@@ -117,7 +115,6 @@ struct Mapper::Impl {
   void release() {
     open = false;
     inserter.reset();
-    if (sharded) sharded->attach_query_service(nullptr);
     if (world) world->attach_view_service(nullptr);
     backend = nullptr;
     hybrid.reset();  // non-owning view over a back engine: dies first
@@ -125,7 +122,6 @@ struct Mapper::Impl {
     tree.reset();
     accel_backend.reset();
     accelerator.reset();
-    sharded.reset();
     world.reset();
     query_service.reset();
     view_service.reset();
@@ -138,8 +134,7 @@ struct Mapper::Impl {
   }
 
   /// Builds the telemetry context from `config` and resolves the facade's
-  /// own counters. Must run before the engines (the sharded pipeline takes
-  /// the pointer at construction).
+  /// own counters. Must run before finish_wiring hands it to the engines.
   void make_telemetry() {
     obs::TelemetryConfig tcfg;
     tcfg.metrics = config.telemetry().metrics;
@@ -167,11 +162,6 @@ struct Mapper::Impl {
     } else {
       query_service = std::make_unique<query::QueryService>();  // epoch-0 placeholder
       query_service->set_telemetry(telemetry.get());
-      // Hybrid sessions publish through the hybrid (refresh_from drains
-      // the window first), never from inside a sharded back's flush —
-      // attaching the service to the back would publish snapshots that
-      // miss the absorbed-but-unflushed window content.
-      if (sharded && !hybrid) sharded->attach_query_service(query_service.get());
     }
     open = true;
   }
@@ -246,16 +236,6 @@ Result<Mapper> Mapper::create(const MapperConfig& config) {
     impl->octree_backend = std::make_unique<map::OctreeBackend>(*impl->tree);
     impl->backend = impl->octree_backend.get();
   };
-  const auto build_sharded = [&] {
-    pipeline::ShardedPipelineConfig cfg;
-    cfg.shard_count = config.sharded().threads;
-    cfg.queue_depth = config.sharded().queue_depth;
-    cfg.resolution = config.resolution();
-    cfg.params = params;
-    cfg.telemetry = impl->telemetry.get();
-    impl->sharded = std::make_unique<pipeline::ShardedMapPipeline>(cfg);
-    impl->backend = impl->sharded.get();
-  };
   const auto build_world = [&] {
     world::TiledWorldConfig cfg;
     cfg.resolution = config.resolution();
@@ -292,10 +272,6 @@ Result<Mapper> Mapper::create(const MapperConfig& config) {
         impl->backend = impl->accel_backend.get();
         break;
       }
-      case BackendKind::kSharded: {
-        build_sharded();
-        break;
-      }
       case BackendKind::kTiledWorld: {
         build_world();
         break;
@@ -303,10 +279,10 @@ Result<Mapper> Mapper::create(const MapperConfig& config) {
       case BackendKind::kHybrid: {
         // The back engine lands in its usual slot; the hybrid wraps it
         // and becomes the session backend.
-        switch (config.hybrid().back_backend) {
-          case BackendKind::kSharded: build_sharded(); break;
-          case BackendKind::kTiledWorld: build_world(); break;
-          default: build_octree(); break;  // validate() leaves only kOctree
+        if (config.hybrid().back_backend == BackendKind::kTiledWorld) {
+          build_world();
+        } else {
+          build_octree();  // validate() leaves only kOctree
         }
         localgrid::HybridConfig hcfg;
         hcfg.window_voxels = config.hybrid().window_voxels;
@@ -459,17 +435,12 @@ Status Mapper::insert(const Ray* rays, std::size_t ray_count) {
 Status Mapper::flush() {
   if (!impl_ || !impl_->open) return closed_status();
   const Status s = guarded([&] {
-    if (impl_->hybrid && impl_->query_service) {
-      // Hybrid: drain the window (and any asynchronous back) first, then
-      // publish through the hybrid so absorbed content is in the epoch.
-      impl_->backend->flush();
-      impl_->query_service->refresh_from(*impl_->backend);
-    } else if (impl_->query_service && !impl_->sharded) {
-      // Synchronous backends publish explicitly; the sharded pipeline and
-      // the tiled world publish from inside their own flush().
+    if (impl_->query_service) {
+      // refresh_from flushes first (a hybrid drains its window into the
+      // back), then publishes the epoch.
       impl_->query_service->refresh_from(*impl_->backend);
     } else {
-      impl_->backend->flush();
+      impl_->backend->flush();  // the tiled world publishes its own view
     }
   });
   if (s.ok()) impl_->flushes->add(1);
@@ -534,8 +505,6 @@ Status Mapper::save_map(const std::string& path) {
     bool written = false;
     if (impl_->tree) {
       written = map::OctreeIo::write_file(*impl_->tree, path);
-    } else if (impl_->sharded) {
-      written = map::OctreeIo::write_file(impl_->sharded->merged_octree(), path);
     } else {
       written = map::OctreeIo::write_file(impl_->accelerator->to_octree(), path);
     }
@@ -655,9 +624,6 @@ map::MapBackend* Mapper::internal_backend() { return impl_ ? impl_->backend : nu
 map::OccupancyOctree* Mapper::internal_octree() { return impl_ ? impl_->tree.get() : nullptr; }
 accel::OmuAccelerator* Mapper::internal_accelerator() {
   return impl_ ? impl_->accelerator.get() : nullptr;
-}
-pipeline::ShardedMapPipeline* Mapper::internal_pipeline() {
-  return impl_ ? impl_->sharded.get() : nullptr;
 }
 world::TiledWorldMap* Mapper::internal_world() { return impl_ ? impl_->world.get() : nullptr; }
 localgrid::HybridMapBackend* Mapper::internal_hybrid() {

@@ -175,10 +175,9 @@ std::shared_ptr<const MapSnapshot> MapSnapshot::build_incremental(
 
   // Root-collapse normalization: when every branch is a single depth-1
   // leaf and all eight values compare equal, the canonical full export of
-  // the same state is one depth-0 record (the octree's root prune; the
-  // sharded pipeline's merged-tree export prunes identically). Match it so
-  // incremental and full builds stay bit-identical. The float == mirrors
-  // update_inner_and_try_prune's equality test.
+  // the same state is one depth-0 record (the octree's root prune). Match
+  // it so incremental and full builds stay bit-identical. The float ==
+  // mirrors update_inner_and_try_prune's equality test.
   bool collapse = true;
   for (int b = 0; collapse && b < 8; ++b) {
     const auto& chunk = snap->chunks_[static_cast<std::size_t>(b)];

@@ -123,8 +123,8 @@ class MapSnapshot {
   /// flattened arrays to a full rebuild of the same backend state,
   /// including the backend's root-collapse normalization: when all eight
   /// spliced branches are a single equal-valued depth-1 leaf — the state
-  /// in which the sharded pipeline's merged-tree export prunes to one
-  /// depth-0 record — the result collapses the same way.
+  /// in which the octree's export prunes to one depth-0 record — the
+  /// result collapses the same way.
   static std::shared_ptr<const MapSnapshot> build_incremental(
       const MapSnapshot& prev, map::MapSnapshotDelta delta, uint64_t epoch,
       BuildStats* stats = nullptr);

@@ -57,19 +57,6 @@ void QueryService::swap_in(std::shared_ptr<const MapSnapshot> next) {
   // arrays free on the publisher's time, not under the readers' mutex.
 }
 
-uint64_t QueryService::publish(map::MapSnapshotData data) {
-  // A classic full publish is a full delta from an anonymous source: it
-  // rebuilds everything and resets the incremental pairing, so the next
-  // refresh_from of any backend starts from a full export.
-  map::MapSnapshotDelta delta;
-  delta.full = true;
-  delta.leaves = std::move(data.leaves);
-  delta.resolution = data.resolution;
-  delta.params = data.params;
-  delta.generation = 0;
-  return publish_delta(std::move(delta), nullptr);
-}
-
 void QueryService::set_telemetry(obs::Telemetry* telemetry) {
   std::lock_guard lock(publish_mutex_);
   refresh_ns_ = telemetry != nullptr ? telemetry->histogram("publish.refresh_ns") : nullptr;
@@ -86,17 +73,7 @@ uint64_t QueryService::refresh_from(map::MapBackend& backend) {
   std::lock_guard lock(publish_mutex_);
   obs::TraceSpan span(refresh_ns_, journal_, "publish.refresh");
   const uint64_t since = delta_source_ == &backend ? delta_generation_ : 0;
-  return publish_delta_locked(backend.export_snapshot_delta(since), &backend);
-}
-
-uint64_t QueryService::publish_delta(map::MapSnapshotDelta delta, const void* source) {
-  std::lock_guard lock(publish_mutex_);
-  return publish_delta_locked(std::move(delta), source);
-}
-
-uint64_t QueryService::delta_since(const void* source) const {
-  std::lock_guard lock(publish_mutex_);
-  return delta_source_ == source ? delta_generation_ : 0;
+  return publish_locked(backend.export_snapshot_delta(since), &backend);
 }
 
 SnapshotPublishStats QueryService::publish_stats() const {
@@ -104,13 +81,13 @@ SnapshotPublishStats QueryService::publish_stats() const {
   return publish_stats_;
 }
 
-uint64_t QueryService::publish_delta_locked(map::MapSnapshotDelta delta, const void* source) {
+uint64_t QueryService::publish_locked(map::MapSnapshotDelta delta, const void* source) {
   const uint64_t generation = delta.generation;
   if (!delta.full && delta.dirty_mask == 0) {
     // Nothing changed since this source's last delta: publish-free no-op.
     // Readers keep the current epoch and all its chunks.
     publish_stats_.noop_refreshes++;
-    if (source != nullptr && delta_source_ == source) delta_generation_ = generation;
+    if (delta_source_ == source) delta_generation_ = generation;
     return publications_.load(std::memory_order_relaxed);
   }
 
@@ -119,9 +96,10 @@ uint64_t QueryService::publish_delta_locked(map::MapSnapshotDelta delta, const v
   std::shared_ptr<const MapSnapshot> next;
   if (delta.full || delta_source_ != source || !delta_base_) {
     if (!delta.full) {
-      // delta_since(source) returns 0 without a pairing, which forces the
-      // backend to answer full — an incremental delta here is a caller bug.
-      throw std::logic_error("QueryService::publish_delta: incremental delta without a base");
+      // refresh_from asks for generation 0 without a pairing, which forces
+      // the backend to answer full — an incremental delta here is a
+      // backend bug.
+      throw std::logic_error("QueryService::refresh_from: incremental delta without a base");
     }
     obs::TraceSpan span(build_ns_, journal_, "publish.build");
     next = MapSnapshot::build(

@@ -98,40 +98,17 @@ class QueryService {
 
   // ---- Write path (publishers serialize on a writer mutex) --------------
 
-  /// Builds a snapshot from exported data and publishes it under the next
-  /// epoch. Returns that epoch. The build runs outside the reader-visible
-  /// swap mutex; only the pointer swap itself excludes readers. Always a
-  /// full rebuild — prefer refresh_from / publish_delta, which splice
-  /// unchanged chunks from the previous epoch.
-  uint64_t publish(map::MapSnapshotData data);
-
-  /// Flushes the backend and publishes its changes since this service's
-  /// previous refresh of the same backend, splicing unchanged branch
-  /// chunks from that epoch's snapshot (O(changed) build). When nothing
-  /// changed, no epoch is published at all — readers keep the current
-  /// snapshot, and its epoch is returned. Falls back to a full rebuild on
-  /// the first refresh, on a source change, and whenever the backend
-  /// reports it (whole-tree mutations, collapsed root, no tracking).
-  /// Don't combine with ShardedMapPipeline::attach_query_service on the
-  /// same backend — its flush() already publishes. Pick one publication
-  /// path: attach (publish every flush) or refresh_from (publish on the
-  /// caller's schedule).
+  /// The one publication path. Flushes the backend and publishes its
+  /// changes since this service's previous refresh of the same backend
+  /// under the next epoch, splicing unchanged branch chunks from that
+  /// epoch's snapshot (O(changed) build). The build runs outside the
+  /// reader-visible swap mutex; only the pointer swap itself excludes
+  /// readers. When nothing changed, no epoch is published at all —
+  /// readers keep the current snapshot, and its epoch is returned. Falls
+  /// back to a full rebuild on the first refresh, on a source change, and
+  /// whenever the backend reports it (whole-tree mutations, collapsed
+  /// root, no tracking).
   uint64_t refresh_from(map::MapBackend& backend);
-
-  /// Publishes a delta the caller exported itself (the sharded pipeline
-  /// brackets its export with routing-stability re-checks before handing
-  /// it over). `source` identifies the exporter: an incremental delta is
-  /// spliced onto the snapshot built from that source's previous delta.
-  /// Obtain since_generation for the export via delta_since(source).
-  /// Returns the published epoch (or the current epoch for an empty
-  /// incremental delta, which publishes nothing).
-  uint64_t publish_delta(map::MapSnapshotDelta delta, const void* source);
-
-  /// The since_generation to pass to MapBackend::export_snapshot_delta so
-  /// the result can be spliced by publish_delta(…, source): the generation
-  /// of that source's last published delta, or 0 (forcing a full export)
-  /// when the service has no splice base from it.
-  uint64_t delta_since(const void* source) const;
 
   // ---- Introspection -----------------------------------------------------
 
@@ -171,7 +148,10 @@ class QueryService {
 
   void swap_in(std::shared_ptr<const MapSnapshot> next);
 
-  uint64_t publish_delta_locked(map::MapSnapshotDelta delta, const void* source);
+  /// Publishes `delta`, exported by `source`, under publish_mutex_: an
+  /// incremental delta splices onto the snapshot built from that source's
+  /// previous delta.
+  uint64_t publish_locked(map::MapSnapshotDelta delta, const void* source);
 
   std::shared_ptr<const MapSnapshot> current_;  ///< guarded by swap_mutex_
   mutable std::mutex swap_mutex_;  ///< guards current_; held only across pointer swaps
@@ -182,10 +162,11 @@ class QueryService {
   // Incremental splice state, guarded by publish_mutex_: the snapshot
   // built from delta_source_'s last delta (generation delta_generation_).
   // An incremental delta from the same source splices onto delta_base_; a
-  // publish from anyone else resets the pairing, so the next refresh of
-  // the source is a full rebuild. delta_base_ == current_ in the supported
-  // single-publisher flow, but correctness only needs the pairing: base +
-  // delta is the source backend's full state regardless of current_.
+  // refresh from another backend resets the pairing, so the next refresh
+  // of the source is a full rebuild. delta_base_ == current_ in the
+  // supported single-publisher flow, but correctness only needs the
+  // pairing: base + delta is the source backend's full state regardless
+  // of current_.
   const void* delta_source_ = nullptr;
   uint64_t delta_generation_ = 0;
   std::shared_ptr<const MapSnapshot> delta_base_;

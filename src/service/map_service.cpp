@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "map/occupancy_octree.hpp"
-#include "pipeline/sharded_map_pipeline.hpp"
 #include "query/map_snapshot.hpp"
 #include "query/query_service.hpp"
 #include "service/telemetry_rollup.hpp"
@@ -105,7 +104,6 @@ MapService::MapService(ServiceConfig config)
   admitted_inserts_ = telemetry_.counter("service.inserts_admitted");
   rejected_rate_ = telemetry_.counter("service.inserts_rejected_rate");
   rejected_bytes_ = telemetry_.counter("service.inserts_rejected_bytes");
-  rejected_backpressure_ = telemetry_.counter("service.inserts_rejected_backpressure");
   rejected_invalid_ = telemetry_.counter("service.inserts_rejected_invalid");
   rejected_sessions_ = telemetry_.counter("service.sessions_rejected");
   delta_events_ = telemetry_.counter("service.delta_events");
@@ -406,20 +404,6 @@ WireStatus MapService::admit_insert(Session& session, std::size_t points) {
           cfg_.retry_after_ms);
     }
   }
-  if (pipeline::ShardedMapPipeline* pipeline = session.mapper->internal_pipeline()) {
-    // Reject instead of blocking the connection thread on a full shard
-    // queue — the tenant retries; other tenants' RPCs keep flowing.
-    if (pipeline->max_queue_depth() >= session.mapper->config().sharded().queue_depth) {
-      rejected_backpressure_->add();
-      return WireStatus::from(
-          omu::Status::resource_exhausted(
-              "session " + std::to_string(session.id) +
-              " shard queues are full (depth " +
-              std::to_string(session.mapper->config().sharded().queue_depth) +
-              "); retry shortly or flush"),
-          cfg_.retry_after_ms);
-    }
-  }
   admitted_inserts_->add();
   return WireStatus{};
 }
@@ -491,7 +475,7 @@ void MapService::handle_flush(const std::shared_ptr<Connection>& conn, const Fra
       if (reply.status.ok()) {
         // Delta events go out before this reply: a client that flushes
         // then inspects its mirror observes the converged epoch.
-        reply.epoch = publish_deltas(*session);
+        reply.epoch = broadcast_deltas(*session);
       }
     }
   } else {
@@ -668,7 +652,7 @@ void MapService::handle_subscribe(const std::shared_ptr<Connection>& conn, const
   send_reply(*conn, frame.type, frame.request_id, reply);
   // Baseline right behind the reply (same send mutex, so the client sees
   // the reply first): flush so the baseline is current, then publish.
-  if (session->mapper->flush().ok()) publish_deltas(*session);
+  if (session->mapper->flush().ok()) broadcast_deltas(*session);
 }
 
 void MapService::handle_unsubscribe(const std::shared_ptr<Connection>& conn,
@@ -697,7 +681,7 @@ void MapService::handle_unsubscribe(const std::shared_ptr<Connection>& conn,
   send_reply(*conn, frame.type, frame.request_id, reply);
 }
 
-uint64_t MapService::publish_deltas(Session& session) {
+uint64_t MapService::broadcast_deltas(Session& session) {
   if (session.subscribers.empty()) return session.epoch;
   const uint64_t t0 = delta_publish_ns_ != nullptr ? now_ns() : 0;
 

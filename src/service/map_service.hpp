@@ -27,9 +27,7 @@
 //     violations are kResourceExhausted with retry_after_ms telling the
 //     tenant when the bucket will have refilled enough;
 //   - max_resident_bytes     -> the tenant's world-backed sessions' bytes
-//     (from the arbiter's accounting) must fit its quota;
-//   - shard queue back-pressure -> a sharded session whose deepest queue
-//     is at capacity rejects instead of blocking the connection thread.
+//     (from the arbiter's accounting) must fit its quota.
 // Rejections never tear down the connection or the session: the client
 // retries after retry_after_ms and the stream continues.
 //
@@ -152,7 +150,7 @@ class MapService {
 
   /// Publishes the current epoch's delta to every subscriber of `session`
   /// (caller holds the session mutex). Returns the session's delta epoch.
-  uint64_t publish_deltas(Session& session);
+  uint64_t broadcast_deltas(Session& session);
 
   /// Locks the session registry and returns the session, or nullptr.
   std::shared_ptr<Session> find_session(uint64_t id) const;
@@ -184,7 +182,6 @@ class MapService {
   obs::Counter* admitted_inserts_ = nullptr;
   obs::Counter* rejected_rate_ = nullptr;
   obs::Counter* rejected_bytes_ = nullptr;
-  obs::Counter* rejected_backpressure_ = nullptr;
   obs::Counter* rejected_invalid_ = nullptr;
   obs::Counter* rejected_sessions_ = nullptr;
   obs::Counter* delta_events_ = nullptr;

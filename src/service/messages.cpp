@@ -104,9 +104,6 @@ omu::MapperConfig SessionSpec::to_config() const {
   config.resolution(resolution).backend(kind).sensor_model(model).telemetry(tel);
   // validate() rejects options groups for engines this session does not
   // run, so only the effective backend's group is set.
-  if (effective == omu::BackendKind::kSharded) {
-    config.sharded({.threads = shard_threads, .queue_depth = shard_queue_depth});
-  }
   if (effective == omu::BackendKind::kTiledWorld) {
     config.world({.directory = world_directory,
                   .resident_byte_budget = static_cast<std::size_t>(world_resident_byte_budget),
@@ -133,8 +130,6 @@ SessionSpec SessionSpec::from_config(const omu::MapperConfig& config) {
   spec.quantized = model.quantized ? 1 : 0;
   spec.max_range = model.max_range;
   spec.deduplicate = model.deduplicate ? 1 : 0;
-  spec.shard_threads = static_cast<uint32_t>(config.sharded().threads);
-  spec.shard_queue_depth = static_cast<uint32_t>(config.sharded().queue_depth);
   spec.world_directory = config.world().directory;
   spec.world_resident_byte_budget = config.world().resident_byte_budget;
   spec.tile_shift = static_cast<uint32_t>(config.world().tile_shift);
@@ -158,8 +153,6 @@ void SessionSpec::encode(WireWriter& w) const {
   w.u8(quantized);
   w.f64(max_range);
   w.u8(deduplicate);
-  w.u32(shard_threads);
-  w.u32(shard_queue_depth);
   w.str(world_directory);
   w.u64(world_resident_byte_budget);
   w.u32(tile_shift);
@@ -183,8 +176,6 @@ void SessionSpec::decode(WireReader& r) {
   quantized = r.u8();
   max_range = r.f64();
   deduplicate = r.u8();
-  shard_threads = r.u32();
-  shard_queue_depth = r.u32();
   world_directory = r.str();
   world_resident_byte_budget = r.u64();
   tile_shift = r.u32();

@@ -95,9 +95,6 @@ struct SessionSpec {
   double max_range = -1.0;
   uint8_t deduplicate = 0;
 
-  uint32_t shard_threads = 1;
-  uint32_t shard_queue_depth = 64;
-
   std::string world_directory;
   uint64_t world_resident_byte_budget = 0;
   uint32_t tile_shift = 12;

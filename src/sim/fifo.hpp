@@ -27,8 +27,8 @@ class Fifo {
 
   /// Attempts to enqueue; returns false (and counts a rejected push) when
   /// the queue is full — the producer must retry, modeling a stall. Takes
-  /// by value so expensive payloads (e.g. whole UpdateBatches in the
-  /// software pipeline) can be moved in.
+  /// by value so expensive payloads (e.g. whole UpdateBatches) can be
+  /// moved in.
   bool try_push(T v) {
     if (full()) {
       ++rejected_pushes_;

@@ -78,21 +78,20 @@ void TiledWorldMap::apply(const map::UpdateBatch& batch) {
   if (batch.empty()) return;
   std::lock_guard lock(mutex_);
 
-  // Split per tile at the shared key-sharding layer; per-voxel order is
-  // preserved (a voxel always routes to the same tile), which is what the
-  // bit-for-bit equivalence with the monolithic tree rests on.
+  // Split per tile, preserving arrival order within each tile: a voxel
+  // always routes to the same tile, so its updates stay in order, which is
+  // what the bit-for-bit equivalence with the monolithic tree rests on.
+  // split_ keeps its sub-batches' capacity across calls.
   route_index_.clear();
   split_ids_.clear();
   for (map::UpdateBatch& sub : split_) sub.clear();
-  pipeline::route_batch(
-      batch,
-      [this](const map::OcKey& key) {
-        const TileId id = grid_.tile_id(key);
-        const auto [it, inserted] = route_index_.try_emplace(id, split_ids_.size());
-        if (inserted) split_ids_.push_back(id);
-        return it->second;
-      },
-      split_);
+  for (const map::VoxelUpdate& u : batch) {
+    const TileId id = grid_.tile_id(u.key);
+    const auto [it, inserted] = route_index_.try_emplace(id, split_ids_.size());
+    if (inserted) split_ids_.push_back(id);
+    if (it->second >= split_.size()) split_.resize(it->second + 1);
+    split_[it->second].push(u.key, u.occupied);
+  }
 
   apply_per_tile(pager_, split_ids_,
                  [this](map::MapBackend& tile, std::size_t i) { tile.apply(split_[i]); });

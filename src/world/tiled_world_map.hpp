@@ -11,8 +11,7 @@
 // and OHM take, layered over this repo's backends.
 //
 // It *is* a map::MapBackend: ScanInserter drives it directly, and a ray's
-// update batch is split per tile at the same key-sharding layer the
-// branch-sharded pipeline routes through (pipeline/batch_router.hpp).
+// update batch is split per tile, preserving per-voxel arrival order.
 //
 // Equivalence contract (tests/world enforce it): replaying a scan stream
 // through a TiledWorldMap — including under forced eviction — yields
@@ -31,9 +30,9 @@
 // into a WorldQueryView (evicted tiles are loaded on demand — a cached
 // snapshot is reused when the tile hasn't changed since, which an evicted
 // tile by definition hasn't). attach_view_service() publishes a fresh
-// view at every flush() boundary for concurrent readers, mirroring
-// ShardedMapPipeline::attach_query_service. View/snapshot memory is
-// read-side and deliberately outside the pager's resident-tile budget.
+// view at every flush() boundary for concurrent readers. View/snapshot
+// memory is read-side and deliberately outside the pager's resident-tile
+// budget.
 //
 // Thread safety: all backend methods and capture/save serialize on an
 // internal mutex (one writer plus occasional maintenance callers);
@@ -52,7 +51,6 @@
 #include "map/backend_factory.hpp"
 #include "map/map_backend.hpp"
 #include "map/phase_stats.hpp"
-#include "pipeline/batch_router.hpp"
 #include "world/budget_arbiter.hpp"
 #include "world/tile_grid.hpp"
 #include "world/tile_pager.hpp"

@@ -44,20 +44,21 @@ TEST(MapperConfigValidation, RejectsNonPositiveResolution) {
                   {"resolution"});
 }
 
-TEST(MapperConfigValidation, RejectsZeroThreads) {
-  EXPECT_EQ(expect_rejected(MapperConfig().sharded({.threads = 0}), {"threads", "0"}).code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(MapperConfigValidation, RejectsThreadsOnNonShardedBackend) {
-  expect_rejected(MapperConfig().sharded({.threads = 7}), {"threads", "7", "kSharded", "octree"});
-  expect_rejected(MapperConfig().backend(BackendKind::kAccelerator).sharded({.threads = 2}),
-                  {"threads", "2", "accelerator"});
-}
-
-TEST(MapperConfigValidation, RejectsZeroQueueDepth) {
-  expect_rejected(MapperConfig().backend(BackendKind::kSharded).sharded({.queue_depth = 0}),
-                  {"queue_depth", "0"});
+TEST(MapperConfigValidation, RejectsUnknownBackendKind) {
+  // A kind cast from an integer (or a wire byte) that names no enumerator
+  // is rejected up front — 2 is the retired value, 9 was never assigned.
+  for (const int value : {2, 9, 255}) {
+    const auto kind = static_cast<BackendKind>(value);
+    const std::string text = std::to_string(value);
+    EXPECT_EQ(expect_rejected(MapperConfig().backend(kind), {"backend", text.c_str()}).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_FALSE(MapperConfig().backend(kind).validate().ok());
+    // An out-of-range back kind never silently builds an octree.
+    const Status back = expect_rejected(
+        MapperConfig().backend(BackendKind::kHybrid).hybrid({.back_backend = kind}),
+        {"hybrid.back_backend", text.c_str()});
+    EXPECT_EQ(back.code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(MapperConfigValidation, RejectsWorldPagingOnAccelerator) {
@@ -70,14 +71,13 @@ TEST(MapperConfigValidation, RejectsWorldPagingOnAccelerator) {
       {"world.resident_byte_budget", "1048576", "accelerator"});
 }
 
-TEST(MapperConfigValidation, RejectsWorldFieldsOnOctreeAndSharded) {
+TEST(MapperConfigValidation, RejectsWorldFieldsOnOctree) {
   expect_rejected(MapperConfig().world({.directory = "w"}),
                   {"world.directory", "w", "kTiledWorld"});
   expect_rejected(MapperConfig()
-                      .backend(BackendKind::kSharded)
-                      .sharded({.threads = 2})
+                      .backend(BackendKind::kHybrid)
                       .world({.resident_byte_budget = 64}),
-                  {"world.resident_byte_budget", "64", "sharded"});
+                  {"world.resident_byte_budget", "64", "octree"});
 }
 
 TEST(MapperConfigValidation, RejectsBudgetWithoutWorldDirectory) {
@@ -141,8 +141,8 @@ TEST(MapperConfigValidation, RejectsAcceleratorOptionsOnOtherBackends) {
   expect_rejected(MapperConfig().accelerator(AcceleratorOptions{}),
                   {"accelerator", "octree", "kAccelerator"});
   accel::OmuConfig cfg;
-  expect_rejected(MapperConfig().backend(BackendKind::kSharded).accelerator_config(cfg),
-                  {"accelerator_config", "sharded"});
+  expect_rejected(MapperConfig().backend(BackendKind::kTiledWorld).accelerator_config(cfg),
+                  {"accelerator_config", "tiled-world"});
 }
 
 TEST(MapperConfigValidation, RejectsMalformedAcceleratorShape) {
@@ -186,8 +186,6 @@ TEST(MapperConfigValidation, RejectsMalformedSensorModel) {
 
 TEST(MapperConfigValidation, AcceptsEveryBackendKindWhenWellFormed) {
   EXPECT_TRUE(MapperConfig().validate().ok());
-  EXPECT_TRUE(
-      MapperConfig().backend(BackendKind::kSharded).sharded({.threads = 4}).validate().ok());
   EXPECT_TRUE(MapperConfig()
                   .backend(BackendKind::kAccelerator)
                   .accelerator(AcceleratorOptions{})
@@ -205,8 +203,7 @@ TEST(MapperConfigValidation, AcceptsEveryBackendKindWhenWellFormed) {
                   .backend(BackendKind::kHybrid)
                   .hybrid({.window_voxels = 32,
                            .flush_high_water = 4096,
-                           .back_backend = BackendKind::kSharded})
-                  .sharded({.threads = 4})
+                           .back_backend = BackendKind::kOctree})
                   .validate()
                   .ok());
   EXPECT_TRUE(MapperConfig()

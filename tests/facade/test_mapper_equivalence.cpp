@@ -1,6 +1,6 @@
 // Facade/hand-wired bit-identity: an omu::Mapper session must produce a
 // map bit-identical to the hand-wired setup of the same backend — across
-// octree, accelerator, sharded and tiled-world modes — and its published
+// octree, accelerator, tiled-world and hybrid modes — and its published
 // MapViews must answer exactly like the internal snapshot/view types the
 // consumers used to wire themselves.
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "facade_test_util.hpp"
 #include "map/occupancy_octree.hpp"
 #include "map/scan_inserter.hpp"
-#include "pipeline/sharded_map_pipeline.hpp"
 #include "query/map_snapshot.hpp"
 #include "world/tiled_world_map.hpp"
 
@@ -107,34 +106,6 @@ TEST(FacadeEquivalence, AcceleratorSessionMatchesHandWired) {
   EXPECT_EQ(mapper.content_hash().value(), reference_tree().content_hash());
 }
 
-TEST(FacadeEquivalence, ShardedSessionMatchesHandWired) {
-  Mapper mapper = Mapper::create(MapperConfig()
-                                     .resolution(0.2)
-                                     .backend(BackendKind::kSharded)
-                                     .sharded({.threads = 4}))
-                      .value();
-  stream_into(mapper, test_scans());
-
-  pipeline::ShardedPipelineConfig cfg;
-  cfg.shard_count = 4;
-  cfg.resolution = 0.2;
-  pipeline::ShardedMapPipeline pipeline(cfg);
-  stream_into(pipeline, test_scans());
-  pipeline.flush();
-
-  EXPECT_EQ(mapper.content_hash().value(), pipeline.content_hash());
-  EXPECT_EQ(mapper.content_hash().value(), reference_tree().content_hash());
-
-  // The flush-published facade snapshot answers like the hand-wired
-  // pipeline's merged tree.
-  ASSERT_TRUE(mapper.flush().ok());
-  const MapView view = mapper.snapshot().value();
-  for (const Vec3& p : probe_positions(reference_tree())) {
-    const map::Occupancy expect = pipeline.classify(geom::Vec3d{p.x, p.y, p.z});
-    EXPECT_EQ(static_cast<int>(view.classify(p)), static_cast<int>(expect));
-  }
-}
-
 TEST(FacadeEquivalence, TiledWorldSessionMatchesHandWired) {
   TempDir dir("facade_world_eq");
   TempDir hand_dir("facade_world_eq_hand");
@@ -217,22 +188,6 @@ TEST(FacadeEquivalence, HybridOverOctreeMatchesDirectSession) {
     const map::Occupancy expect = reference_tree().classify(geom::Vec3d{p.x, p.y, p.z});
     EXPECT_EQ(static_cast<int>(view.classify(p)), static_cast<int>(expect));
   }
-}
-
-TEST(FacadeEquivalence, HybridOverShardedMatchesDirectSession) {
-  Mapper hybrid = Mapper::create(MapperConfig()
-                                     .resolution(0.2)
-                                     .backend(BackendKind::kHybrid)
-                                     .hybrid({.window_voxels = 32,
-                                              .back_backend = BackendKind::kSharded})
-                                     .sharded({.threads = 4}))
-                      .value();
-  stream_into(hybrid, test_scans());
-  ASSERT_TRUE(hybrid.flush().ok());
-
-  EXPECT_EQ(hybrid.backend_name(), "hybrid[sharded-pipeline-x4]");
-  EXPECT_EQ(hybrid.content_hash().value(), reference_tree().content_hash());
-  EXPECT_GT(hybrid.stats()->absorber.updates_absorbed, 0u);
 }
 
 TEST(FacadeEquivalence, HybridOverTiledWorldMatchesDirectSession) {
@@ -346,15 +301,13 @@ TEST(FacadeEquivalence, SensorModelPropagatesToEveryBackend) {
   sm.max_range = 4.0;
 
   Mapper octree = Mapper::create(MapperConfig().resolution(0.2).sensor_model(sm)).value();
-  Mapper sharded = Mapper::create(MapperConfig()
-                                      .resolution(0.2)
-                                      .sensor_model(sm)
-                                      .backend(BackendKind::kSharded)
-                                      .sharded({.threads = 3}))
-                       .value();
   stream_into(octree, test_scans());
-  stream_into(sharded, test_scans());
-  EXPECT_EQ(octree.content_hash().value(), sharded.content_hash().value());
+  for (const BackendKind kind : {BackendKind::kAccelerator, BackendKind::kHybrid}) {
+    Mapper other =
+        Mapper::create(MapperConfig().resolution(0.2).sensor_model(sm).backend(kind)).value();
+    stream_into(other, test_scans());
+    EXPECT_EQ(octree.content_hash().value(), other.content_hash().value()) << to_string(kind);
+  }
   // A max_range this short truncates rays, so the map genuinely differs
   // from the default-model reference.
   EXPECT_NE(octree.content_hash().value(), reference_tree().content_hash());

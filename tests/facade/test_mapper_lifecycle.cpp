@@ -126,15 +126,13 @@ TEST(MapperLifecycle, SaveMapRoundTripsOnFileBackends) {
   ASSERT_TRUE(reloaded.has_value());
   EXPECT_EQ(reloaded->content_hash(), octree.content_hash().value());
 
-  // The sharded session's merged export writes the identical file content.
-  Mapper sharded =
-      Mapper::create(MapperConfig().backend(BackendKind::kSharded).sharded({.threads = 3}))
-          .value();
-  stream_into(sharded, test_scans());
-  const std::string sharded_path = dir.path() + "/sharded.omap";
-  ASSERT_TRUE(sharded.save_map(sharded_path).ok());
-  EXPECT_EQ(map::OctreeIo::read_file(sharded_path)->content_hash(),
-            octree.content_hash().value());
+  // The accelerator session's TreeMem readback writes the identical file
+  // content.
+  Mapper omu = Mapper::create(MapperConfig().backend(BackendKind::kAccelerator)).value();
+  stream_into(omu, test_scans());
+  const std::string omu_path = dir.path() + "/accelerator.omap";
+  ASSERT_TRUE(omu.save_map(omu_path).ok());
+  EXPECT_EQ(map::OctreeIo::read_file(omu_path)->content_hash(), octree.content_hash().value());
 }
 
 std::string read_bytes(const std::string& path) {

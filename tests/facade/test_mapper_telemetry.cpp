@@ -66,35 +66,6 @@ TEST(MapperTelemetry, OctreeSessionRecordsIngestAndPublishStages) {
   EXPECT_EQ(published->counter, stats.publication.snapshots_published);
 }
 
-TEST(MapperTelemetry, ShardedSessionExportsPerShardMetrics) {
-  Mapper mapper =
-      Mapper::create(MapperConfig().backend(BackendKind::kSharded).sharded({.threads = 3}))
-          .value();
-  stream_into(mapper, test_scans());
-  ASSERT_TRUE(mapper.flush().ok());
-
-  const TelemetrySnapshot snap = mapper.telemetry().value();
-#if OMU_TELEMETRY_ENABLED
-  uint64_t shard_applies = 0;
-  int shard_gauges = 0;
-  for (int i = 0; i < 3; ++i) {
-    const std::string base = "pipeline.shard" + std::to_string(i) + ".";
-    shard_applies += histogram_count(snap, base + "apply_ns");
-    if (snap.find(base + "queue_depth") != nullptr) ++shard_gauges;
-  }
-  EXPECT_GT(shard_applies, 0u);  // the 3 shards split the apply work
-  EXPECT_EQ(shard_gauges, 3);
-  EXPECT_GT(histogram_count(snap, "ingest.insert_ns"), 0u);
-  // The pipeline publishes deltas directly (no refresh_from), so the
-  // publish cost lands in the build/splice histograms.
-  EXPECT_GT(histogram_count(snap, "publish.build_ns") +
-                histogram_count(snap, "publish.splice_ns"),
-            0u);
-#else
-  EXPECT_EQ(snap.find("pipeline.shard0.queue_depth"), nullptr);
-#endif
-}
-
 TEST(MapperTelemetry, HybridSessionRecordsAbsorberStages) {
   Mapper mapper = Mapper::create(MapperConfig()
                                      .backend(BackendKind::kHybrid)

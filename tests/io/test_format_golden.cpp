@@ -92,9 +92,49 @@ TEST(FormatGolden, InsertFrameBytes) {
   frame.payload = writer.take();
   const std::vector<uint8_t> bytes = service::encode_frame(frame);
   EXPECT_EQ(to_hex(bytes.data(), bytes.size()),
-            "57554d4f0100040088776655443322113c000000070000000000000000000000"
+            "57554d4f0200040088776655443322113c000000070000000000000000000000"
             "0000f03f00000000000004c0000000000000c03f060000000000003f000080bf"
-            "0000004000005040000080400000b0c09bad7716505b9e2b");
+            "0000004000005040000080400000b0c0608c4af601a8bf10");
+}
+
+TEST(FormatGolden, CreateRequestBytes) {
+  // Every SessionSpec field off its default, and the backend bytes name
+  // kHybrid over kTiledWorld, so the pin covers the BackendKind numbering.
+  service::CreateRequest request;
+  service::SessionSpec& spec = request.spec;
+  spec.tenant = "t1";
+  spec.backend = static_cast<uint8_t>(BackendKind::kHybrid);
+  spec.resolution = 0.1;
+  spec.log_hit = 0.9f;
+  spec.log_miss = -0.3f;
+  spec.clamp_min = -1.5f;
+  spec.clamp_max = 2.5f;
+  spec.occ_threshold = 0.25f;
+  spec.quantized = 0;
+  spec.max_range = 30.0;
+  spec.deduplicate = 1;
+  spec.world_directory = "w";
+  spec.world_resident_byte_budget = 4096;
+  spec.tile_shift = 7;
+  spec.hybrid_window_voxels = 32;
+  spec.hybrid_flush_high_water = 100;
+  spec.hybrid_back_backend = static_cast<uint8_t>(BackendKind::kTiledWorld);
+  spec.telemetry_metrics = 0;
+  spec.telemetry_journal = 1;
+  spec.quota = service::TenantQuota{1 << 20, 5000, 2048};
+  service::WireWriter writer;
+  request.encode(writer);
+  service::Frame frame;
+  frame.type = static_cast<uint16_t>(service::MsgType::kCreate);
+  frame.request_id = 0x0102030405060708ull;
+  frame.payload = writer.take();
+  const std::vector<uint8_t> bytes = service::encode_frame(frame);
+  EXPECT_EQ(to_hex(bytes.data(), bytes.size()),
+            "57554d4f02000200080706050403020165000000020000007431049a99999999"
+            "99b93f6666663f9a9999be0000c0bf000020400000803e000000000000003e40"
+            "0101000000770010000000000000070000002000000064000000000000000300"
+            "01000010000000000088130000000000000008000000000000aba8279c936730"
+            "6b");
 }
 
 TEST(FormatGolden, LeafRecordHash) {

@@ -2,7 +2,7 @@
 // the dense-front absorber — window scrolls, high-water drains,
 // pass-through traffic and all — must be bit-identical to feeding the
 // same update stream directly into the back backend, for every back
-// (octree, sharded pipeline, tiled world). Plus the absorber-local
+// (octree, tiled world). Plus the absorber-local
 // semantics: unknown-window reads, pass-through immediacy, high-water
 // trips, snapshot-export draining, and serialized-map identity.
 #include "localgrid/hybrid_backend.hpp"
@@ -20,7 +20,6 @@
 #include "map/occupancy_octree.hpp"
 #include "map/octree_io.hpp"
 #include "map/scan_inserter.hpp"
-#include "pipeline/sharded_map_pipeline.hpp"
 #include "query/query_service.hpp"
 #include "world/tiled_world_map.hpp"
 
@@ -159,28 +158,6 @@ TEST(HybridBackend, OctreeBackHighWaterDrains) {
 
   EXPECT_GT(hybrid.absorber_stats().high_water_flushes, 0u);
   expect_leaves_equal(direct.leaves_sorted(), hybrid.leaves_sorted());
-}
-
-// ---- Sharded back -----------------------------------------------------------
-
-TEST(HybridBackend, ShardedBackBitIdentity) {
-  // Direct-sharded vs hybrid-over-sharded: the absorber's aggregated
-  // flush must land identically through the drain barrier + shard locks.
-  pipeline::ShardedPipelineConfig scfg;
-  scfg.shard_count = 4;
-  pipeline::ShardedMapPipeline direct(scfg);
-  pipeline::ShardedMapPipeline back(scfg);
-  expect_hybrid_equivalent(direct, back, HybridConfig{32, 0}, 31);
-}
-
-TEST(HybridBackend, ShardedBackMatchesSerialOctree) {
-  // Transitively: hybrid-over-sharded == direct serial octree.
-  OccupancyOctree direct_tree(0.2);
-  map::OctreeBackend direct(direct_tree);
-  pipeline::ShardedPipelineConfig scfg;
-  scfg.shard_count = 3;
-  pipeline::ShardedMapPipeline back(scfg);
-  expect_hybrid_equivalent(direct, back, HybridConfig{64, 2048}, 32);
 }
 
 // ---- Tiled-world back -------------------------------------------------------

@@ -9,7 +9,6 @@
 #include "geom/rng.hpp"
 #include "map/map_backend.hpp"
 #include "map/scan_inserter.hpp"
-#include "pipeline/sharded_map_pipeline.hpp"
 #include "query/map_snapshot.hpp"
 
 namespace omu {
@@ -31,13 +30,12 @@ TEST(BackendQueryCoverage, OutOfRangeClassifiesUnknownOnEveryBackend) {
   map::OctreeBackend tree_backend(tree);
   accel::OmuAccelerator omu;
   accel::AcceleratorBackend omu_backend(omu);
-  pipeline::ShardedMapPipeline pipeline;
 
-  // Seed all three with one occupied voxel so "unknown" is a real verdict,
-  // not an empty-map default.
+  // Seed both with one occupied voxel so "unknown" is a real verdict, not
+  // an empty-map default.
   map::UpdateBatch batch;
   batch.push(OcKey{map::kKeyOrigin, map::kKeyOrigin, map::kKeyOrigin}, true);
-  map::MapBackend* backends[] = {&tree_backend, &omu_backend, &pipeline};
+  map::MapBackend* backends[] = {&tree_backend, &omu_backend};
   for (map::MapBackend* backend : backends) {
     backend->apply(batch);
     backend->flush();
@@ -74,15 +72,14 @@ TEST(BackendQueryCoverage, BoundaryOfKeySpaceStillInRange) {
 }
 
 TEST(BackendQueryCoverage, CoarseDepthAgreesAcrossBackendsAndQueryUnit) {
-  // Build the identical map on all three backends, then sweep coarse
-  // depths: the accelerator's QueryUnit, the serial octree, the pipeline's
-  // merged octree and the snapshot layer must give one answer.
+  // Build the identical map on both backends, then sweep coarse depths:
+  // the accelerator's QueryUnit, the serial octree and the snapshot layer
+  // over the accelerator's export must give one answer.
   map::OccupancyOctree tree(0.2);
   map::OctreeBackend tree_backend(tree);
   accel::OmuAccelerator omu;
   accel::AcceleratorBackend omu_backend(omu);
-  pipeline::ShardedMapPipeline pipeline;
-  map::MapBackend* backends[] = {&tree_backend, &omu_backend, &pipeline};
+  map::MapBackend* backends[] = {&tree_backend, &omu_backend};
 
   map::ScanInserter inserter(tree_backend);
   geom::SplitMix64 rng(61);
@@ -101,8 +98,7 @@ TEST(BackendQueryCoverage, CoarseDepthAgreesAcrossBackendsAndQueryUnit) {
   for (map::MapBackend* backend : backends) backend->flush();
   ASSERT_EQ(omu.content_hash(), tree.content_hash());
 
-  const map::OccupancyOctree merged = pipeline.merged_octree();
-  const auto snapshot = query::MapSnapshot::capture(pipeline);
+  const auto snapshot = query::MapSnapshot::capture(omu_backend);
   for (const int depth : {2, 4, 6, 8, 10, 12, 14, 15}) {
     for (int i = 0; i < 300; ++i) {
       const OcKey key{static_cast<uint16_t>(map::kKeyOrigin + rng.next_below(96) - 48),
@@ -115,12 +111,6 @@ TEST(BackendQueryCoverage, CoarseDepthAgreesAcrossBackendsAndQueryUnit) {
       const accel::PeQueryResult hw = omu.query(key, depth);
       EXPECT_EQ(hw.occupancy, expected) << "depth " << depth;
       if (sw_view) EXPECT_EQ(hw.log_odds, sw_view->log_odds) << "depth " << depth;
-
-      const auto merged_view = merged.search(key, depth);
-      EXPECT_EQ(merged_view.has_value(), sw_view.has_value()) << "depth " << depth;
-      if (sw_view && merged_view) {
-        EXPECT_EQ(merged_view->log_odds, sw_view->log_odds) << "depth " << depth;
-      }
 
       EXPECT_EQ(snapshot->classify(key, depth), expected) << "depth " << depth;
     }

@@ -1,10 +1,10 @@
-// Churn-equivalence harness for incremental snapshot publication (ISSUE
-// 7): across epochs of randomized scan churn, a snapshot published by
-// splicing refcounted chunks onto the previous epoch is bit-identical —
-// point, batch, coarse-depth and AABB answers AND the flattened arrays —
-// to a full rebuild of the same backend state. Covers the serial octree,
-// the sharded pipeline, the tiled world (including forced eviction) and
-// the public facade, plus the boundary conditions that must degrade to a
+// Churn-equivalence harness for incremental snapshot publication: across
+// epochs of randomized scan churn, a snapshot published by splicing
+// refcounted chunks onto the previous epoch is bit-identical — point,
+// batch, coarse-depth and AABB answers AND the flattened arrays — to a
+// full rebuild of the same backend state. Covers the serial octree, the
+// tiled world (including forced eviction) and the public facade, plus the
+// boundary conditions that must degrade to a
 // full rebuild (prune, root collapse) or to a publish-free no-op (empty
 // flush, fully saturated updates), and the chunk refcount lifecycle:
 // unchanged chunks are pointer-shared between consecutive epochs, never
@@ -24,7 +24,6 @@
 
 #include "geom/rng.hpp"
 #include "map/scan_inserter.hpp"
-#include "pipeline/sharded_map_pipeline.hpp"
 #include "query/map_snapshot.hpp"
 #include "query/query_service.hpp"
 #include "world/tiled_world_map.hpp"
@@ -231,39 +230,6 @@ TEST(IncrementalSnapshotChurn, EmptyFlushAndSaturatedUpdatesPublishNothing) {
   EXPECT_EQ(service.publish_stats().noop_refreshes, noops_before + 1);
   expect_bit_identical(*service.snapshot(), *MapSnapshot::build(backend.export_snapshot_data()),
                        13);
-}
-
-TEST(IncrementalSnapshotChurn, ShardedPipelineChurnMatchesFullRebuildEveryEpoch) {
-  constexpr int kEpochs = 12;
-  QueryService service;
-  pipeline::ShardedMapPipeline pipeline;
-  pipeline.attach_query_service(&service);
-  map::ScanInserter inserter(pipeline);
-
-  geom::SplitMix64 rng(555);
-  inserter.insert_scan(random_cloud(rng, 400, -6, 6), {0.1, 0.2, 0.0});
-  pipeline.flush();
-
-  for (int e = 0; e < kEpochs; ++e) {
-    if (e % 4 == 3) {
-      inserter.insert_scan(random_cloud(rng, 120, -6, 6), {0.3, -0.1, 0.0});
-    } else {
-      inserter.insert_scan(positive_octant_cloud(rng, 120), kPositiveOrigin);
-    }
-    const auto prev = service.snapshot();
-    pipeline.flush();
-    const auto incremental = service.snapshot();
-    ASSERT_NE(incremental.get(), prev.get());
-    const auto full = MapSnapshot::build(pipeline.export_snapshot_data(), incremental->epoch());
-    expect_bit_identical(*incremental, *full, 3000 + static_cast<uint64_t>(e));
-  }
-  // An idle flush stays publish-free (the routed-count skip), and the
-  // splice machinery was actually exercised.
-  const uint64_t publications = service.publications();
-  pipeline.flush();
-  EXPECT_EQ(service.publications(), publications);
-  EXPECT_GT(service.publish_stats().incremental_publications, 0u);
-  EXPECT_GT(service.publish_stats().chunks_reused, 0u);
 }
 
 TEST(IncrementalSnapshotChurn, TiledWorldChurnUnderEvictionMatchesReference) {

@@ -8,9 +8,10 @@
 
 #include <algorithm>
 
+#include "accel/accel_backend.hpp"
+#include "accel/omu_accelerator.hpp"
 #include "geom/rng.hpp"
 #include "map/scan_inserter.hpp"
-#include "pipeline/sharded_map_pipeline.hpp"
 
 namespace omu::query {
 namespace {
@@ -108,12 +109,14 @@ TEST(MapSnapshot, BuildAcceptsUnsortedLeafList) {
 }
 
 TEST(MapSnapshot, CaptureFlushesAsynchronousBackends) {
-  // capture() must see every routed update, even without an explicit
-  // flush() by the caller.
-  pipeline::ShardedMapPipeline pipeline;
+  // capture() must see every streamed update, even without an explicit
+  // flush() by the caller: the accelerator model pipelines scans and only
+  // retires them at flush().
+  accel::OmuAccelerator omu;
+  accel::AcceleratorBackend omu_backend(omu);
   map::OccupancyOctree serial(0.2);
   map::ScanInserter serial_inserter(serial);
-  map::ScanInserter sharded_inserter(pipeline);
+  map::ScanInserter omu_inserter(omu_backend);
   geom::PointCloud cloud;
   geom::SplitMix64 rng(21);
   for (int i = 0; i < 400; ++i) {
@@ -122,8 +125,8 @@ TEST(MapSnapshot, CaptureFlushesAsynchronousBackends) {
                                 static_cast<float>(rng.uniform(-1, 1))});
   }
   serial_inserter.insert_scan(cloud, {0, 0, 0});
-  sharded_inserter.insert_scan(cloud, {0, 0, 0});
-  const auto snapshot = MapSnapshot::capture(pipeline);  // no explicit flush
+  omu_inserter.insert_scan(cloud, {0, 0, 0});
+  const auto snapshot = MapSnapshot::capture(omu_backend);  // no explicit flush
   EXPECT_EQ(snapshot->content_hash(), serial.content_hash());
 }
 

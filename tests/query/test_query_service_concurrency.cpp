@@ -1,5 +1,5 @@
 // Concurrency contract of the QueryService: N reader threads race the
-// sharded writer across snapshot publications with no locks on the read
+// writer across snapshot publications with no locks on the read
 // path. Run under ThreadSanitizer in CI (the sanitizer matrix job) — the
 // assertions here check the memory-model-visible guarantees (snapshot
 // immutability, epoch monotonicity, final convergence); TSan checks that
@@ -9,13 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <map>
 #include <thread>
 #include <vector>
 
 #include "geom/rng.hpp"
 #include "map/scan_inserter.hpp"
-#include "pipeline/sharded_map_pipeline.hpp"
 
 namespace omu::query {
 namespace {
@@ -79,17 +77,17 @@ TEST(QueryServiceConcurrency, ReaderKeepsSupersededSnapshotAlive) {
   EXPECT_NE(service.snapshot()->content_hash(), held_hash);
 }
 
-TEST(QueryServiceConcurrency, ReadersRaceShardedWriterAcrossPublications) {
-  // The flagship race: one writer streams scans into the sharded pipeline
-  // and publishes at every flush boundary while reader threads hammer the
+TEST(QueryServiceConcurrency, ReadersRaceOctreeWriterAcrossPublications) {
+  // The flagship race: one writer streams scans into an octree backend
+  // and publishes at every scan boundary while reader threads hammer the
   // service. Readers assert per-snapshot invariants; the final snapshot
   // must converge to the serial reference bit-identically.
   constexpr int kScans = 12;
   constexpr int kReaders = 4;
 
   QueryService service;
-  pipeline::ShardedMapPipeline pipeline;
-  pipeline.attach_query_service(&service);
+  map::OccupancyOctree writer_tree(0.2);
+  map::OctreeBackend writer(writer_tree);
 
   map::OccupancyOctree serial(0.2);
   map::ScanInserter serial_inserter(serial);
@@ -137,11 +135,11 @@ TEST(QueryServiceConcurrency, ReadersRaceShardedWriterAcrossPublications) {
   }
 
   {
-    map::ScanInserter sharded_inserter(pipeline);
+    map::ScanInserter writer_inserter(writer);
     for (const auto& cloud : clouds) {
       serial_inserter.insert_scan(cloud, {0, 0, 0});
-      sharded_inserter.insert_scan(cloud, {0, 0, 0});
-      pipeline.flush();  // drain + publish: the epoch boundary
+      writer_inserter.insert_scan(cloud, {0, 0, 0});
+      service.refresh_from(writer);  // flush + publish: the epoch boundary
     }
   }
   done.store(true, std::memory_order_release);
@@ -151,63 +149,6 @@ TEST(QueryServiceConcurrency, ReadersRaceShardedWriterAcrossPublications) {
   EXPECT_EQ(service.publications(), static_cast<uint64_t>(kScans));
   EXPECT_EQ(service.snapshot()->content_hash(), serial.content_hash());
   EXPECT_EQ(service.snapshot()->leaves(), map::normalize_to_depth1(serial.leaves_sorted()));
-}
-
-TEST(QueryServiceConcurrency, ConcurrentFlushesNeverPublishStaleContent) {
-  // The single producer applies and flushes while a second thread calls
-  // bare flush() concurrently (a consumer forcing a fresh epoch — the
-  // documented multi-thread use of flush()). Export and publish are one
-  // critical section, so a newer epoch can never carry an older export.
-  // Observable contract: occupancy maps only gain information, so once
-  // any reader sees a voxel as known, every later epoch must know it too.
-  QueryService service;
-  pipeline::ShardedMapPipeline pipeline;
-  pipeline.attach_query_service(&service);
-
-  constexpr int kRounds = 60;
-  std::atomic<bool> done{false};
-
-  std::thread refresher([&] {
-    while (!done.load(std::memory_order_acquire)) pipeline.flush();
-  });
-
-  std::thread observer([&] {
-    // Tracks (key -> first epoch it was seen known); a later snapshot
-    // forgetting it means a stale export was published under a newer epoch.
-    std::map<uint64_t, uint64_t> known_since;
-    while (!done.load(std::memory_order_acquire)) {
-      const auto snapshot = service.snapshot();
-      for (const auto& [packed, epoch] : known_since) {
-        if (snapshot->epoch() <= epoch) continue;
-        const OcKey key{static_cast<uint16_t>(packed & 0xFFFF),
-                        static_cast<uint16_t>((packed >> 16) & 0xFFFF),
-                        static_cast<uint16_t>((packed >> 32) & 0xFFFF)};
-        EXPECT_NE(snapshot->classify(key), Occupancy::kUnknown)
-            << "epoch " << snapshot->epoch() << " forgot a voxel known since epoch " << epoch;
-      }
-      for (const map::LeafRecord& leaf : snapshot->leaves()) {
-        known_since.try_emplace(leaf.key.packed(), snapshot->epoch());
-      }
-    }
-  });
-
-  geom::SplitMix64 rng(11);
-  map::UpdateBatch batch;
-  for (int i = 0; i < kRounds; ++i) {
-    batch.clear();
-    batch.push(OcKey{static_cast<uint16_t>(map::kKeyOrigin + i),
-                     static_cast<uint16_t>(map::kKeyOrigin + rng.next_below(8)),
-                     map::kKeyOrigin},
-               true);
-    pipeline.apply(batch);
-    pipeline.flush();
-  }
-  done.store(true, std::memory_order_release);
-  refresher.join();
-  observer.join();
-  // The producer's own flushes plus however many the refresher landed.
-  EXPECT_GE(service.publications(), static_cast<uint64_t>(kRounds));
-  EXPECT_EQ(service.snapshot()->leaf_count(), static_cast<std::size_t>(kRounds));
 }
 
 TEST(QueryServiceConcurrency, ReadersRaceIncrementalChurnPublications) {
@@ -290,7 +231,7 @@ TEST(QueryServiceConcurrency, ReadersRaceIncrementalChurnPublications) {
 }
 
 TEST(QueryServiceConcurrency, ConcurrentPublishersSerializeWithMonotonicEpochs) {
-  // Several threads publishing concurrently (e.g. two pipelines flushing):
+  // Several threads publishing concurrently (e.g. two mappers refreshing):
   // epochs stay dense and monotonic, the final count is exact.
   constexpr int kPublishers = 4;
   constexpr int kPerThread = 25;

@@ -1,8 +1,8 @@
-// The hard requirement of the snapshot query layer (ISSUE 2): a
-// MapSnapshot captured from any backend answers point, batch,
-// multi-resolution and AABB queries bit-identically to a flushed serial
-// classify()/search() over the same map — on all three backends (software
-// octree, OMU accelerator model, sharded pipeline).
+// The hard requirement of the snapshot query layer: a MapSnapshot
+// captured from any backend answers point, batch, multi-resolution and
+// AABB queries bit-identically to a flushed serial classify()/search()
+// over the same map — on both backends (software octree, OMU accelerator
+// model).
 #include "query/map_snapshot.hpp"
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include "accel/omu_accelerator.hpp"
 #include "geom/rng.hpp"
 #include "map/scan_inserter.hpp"
-#include "pipeline/sharded_map_pipeline.hpp"
 
 namespace omu::query {
 namespace {
@@ -20,7 +19,7 @@ using map::OcKey;
 using map::Occupancy;
 using map::OccupancyOctree;
 
-/// The serial reference plus the three backends, all fed the identical
+/// The serial reference plus the backends, all fed the identical
 /// update stream (ray-cast once, applied everywhere).
 struct BackendFleet {
   explicit BackendFleet(uint64_t seed, int scans = 4, int points = 250)
@@ -43,15 +42,14 @@ struct BackendFleet {
     for (map::MapBackend* backend : all()) backend->flush();
   }
 
-  std::array<map::MapBackend*, 3> all() {
-    return {&tree_backend, &omu_backend, &pipeline};
+  std::array<map::MapBackend*, 2> all() {
+    return {&tree_backend, &omu_backend};
   }
 
   OccupancyOctree tree{0.2};
   accel::OmuAccelerator omu;
   accel::AcceleratorBackend omu_backend;
   map::OctreeBackend tree_backend;
-  pipeline::ShardedMapPipeline pipeline;
 };
 
 OcKey random_key_near(geom::SplitMix64& rng, int span) {
@@ -128,7 +126,7 @@ TEST(SnapshotEquivalence, CoarseDepthMatchesSerialSearchOnAllBackends) {
 
 TEST(SnapshotEquivalence, BatchMatchesPointwiseAndSerial) {
   BackendFleet fleet(5);
-  const auto snapshot = MapSnapshot::capture(fleet.pipeline);
+  const auto snapshot = MapSnapshot::capture(fleet.omu_backend);
   geom::SplitMix64 rng(23);
   std::vector<OcKey> keys;
   for (int i = 0; i < 3000; ++i) keys.push_back(random_key_near(rng, 120));

@@ -1,14 +1,16 @@
 // The service's equivalence contract: a map built through omu_client-style
-// RPCs over the loopback wire — octree, sharded, tiled-world and hybrid
+// RPCs over the loopback wire — octree, tiled-world and hybrid
 // sessions — is bit-identical (content hash + query answers) to the same
 // stream through the in-process omu::Mapper facade. Floats cross the wire
 // as IEEE-754 bit patterns, so this must hold exactly, not approximately.
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "service/client.hpp"
+#include "service/wire.hpp"
 #include "service_test_util.hpp"
 
 namespace omu::service {
@@ -81,18 +83,6 @@ TEST(ServiceSession, OctreeSessionMatchesInProcessFacade) {
   spec.resolution = 0.1;
   spec.backend = static_cast<uint8_t>(omu::BackendKind::kOctree);
   expect_wire_equivalence(spec, omu::MapperConfig().resolution(0.1));
-}
-
-TEST(ServiceSession, ShardedSessionMatchesInProcessFacade) {
-  SessionSpec spec;
-  spec.tenant = "sharded";
-  spec.resolution = 0.1;
-  spec.backend = static_cast<uint8_t>(omu::BackendKind::kSharded);
-  spec.shard_threads = 3;
-  expect_wire_equivalence(spec, omu::MapperConfig()
-                                    .resolution(0.1)
-                                    .backend(omu::BackendKind::kSharded)
-                                    .sharded({.threads = 3}));
 }
 
 TEST(ServiceSession, TiledWorldSessionMatchesInProcessFacade) {
@@ -173,8 +163,8 @@ TEST(ServiceSession, InvalidConfigIsRejectedNotFatal) {
   LoopbackService host;
   ServiceClient client(host.connect());
   SessionSpec bad;
-  bad.backend = static_cast<uint8_t>(omu::BackendKind::kSharded);
-  bad.shard_threads = 0;  // validate() rejects sharded.threads = 0
+  bad.backend = static_cast<uint8_t>(omu::BackendKind::kTiledWorld);
+  bad.tile_shift = 0;  // validate() rejects world.tile_shift = 0
   EXPECT_EQ(client.create(bad).status().code(), omu::StatusCode::kInvalidArgument);
 
   // The connection survives the rejection.
@@ -183,6 +173,65 @@ TEST(ServiceSession, InvalidConfigIsRejectedNotFatal) {
   auto session = client.create(good);
   ASSERT_TRUE(session.ok());
   EXPECT_TRUE(client.close_session(*session).ok());
+}
+
+TEST(ServiceSession, UnknownBackendByteIsRejectedWhileOtherTenantsKeepServing) {
+  LoopbackService host;
+  const auto scans = make_sweep_scans(/*stream=*/3, /*scans=*/8, /*points_per_scan=*/128);
+
+  // Tenant A: a healthy session on its own connection.
+  ServiceClient healthy(host.connect());
+  SessionSpec spec;
+  spec.tenant = "healthy";
+  spec.backend = static_cast<uint8_t>(omu::BackendKind::kOctree);
+  auto session = healthy.create(spec);
+  ASSERT_TRUE(session.ok()) << session.status().to_string();
+  ASSERT_TRUE(healthy.insert(*session, scans[0].origin, scans[0].xyz).ok());
+
+  // Tenant B: raw create frames whose backend byte names no BackendKind —
+  // 2 is the retired value, 9 was never assigned. Each gets an error reply
+  // on a connection that stays open.
+  std::unique_ptr<Transport> raw = host.connect();
+  uint64_t request_id = 1;
+  for (const uint8_t byte : {uint8_t{2}, uint8_t{9}}) {
+    CreateRequest request;
+    request.spec.tenant = "malformed";
+    request.spec.backend = byte;
+    WireWriter w;
+    request.encode(w);
+    Frame frame;
+    frame.type = request_type(MsgType::kCreate);
+    frame.request_id = request_id;
+    frame.payload = w.take();
+    write_frame(*raw, frame);
+
+    const std::optional<Frame> reply = read_frame(*raw);
+    ASSERT_TRUE(reply.has_value()) << "server dropped the connection on byte " << int{byte};
+    EXPECT_EQ(reply->type, reply_type(MsgType::kCreate));
+    EXPECT_EQ(reply->request_id, request_id);
+    SessionReply decoded;
+    WireReader r(reply->payload);
+    decoded.decode(r);
+    EXPECT_EQ(decoded.status.code, static_cast<uint16_t>(omu::StatusCode::kInvalidArgument));
+    EXPECT_NE(decoded.status.message.find("backend"), std::string::npos) << decoded.status.message;
+    EXPECT_NE(decoded.status.message.find(std::to_string(byte)), std::string::npos)
+        << decoded.status.message;
+    ++request_id;
+  }
+  EXPECT_EQ(host.service().session_count(), 1u);
+
+  // Tenant A's session keeps serving and builds the same map as the
+  // in-process facade.
+  for (std::size_t i = 1; i < scans.size(); ++i) {
+    ASSERT_TRUE(healthy.insert(*session, scans[i].origin, scans[i].xyz).ok());
+  }
+  ASSERT_TRUE(healthy.flush(*session).ok());
+  omu::Mapper reference = omu::Mapper::create(omu::MapperConfig()).value();
+  ASSERT_TRUE(replay_into(reference, scans).ok());
+  auto wire_hash = healthy.content_hash(*session);
+  ASSERT_TRUE(wire_hash.ok()) << wire_hash.status().to_string();
+  EXPECT_EQ(*wire_hash, reference.content_hash().value());
+  EXPECT_TRUE(healthy.close_session(*session).ok());
 }
 
 TEST(ServiceSession, OperationsAfterCloseAreNotFound) {

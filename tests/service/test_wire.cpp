@@ -152,7 +152,6 @@ TEST(WireProtocol, SessionSpecRoundTrips) {
   spec.log_miss = -0.5f;
   spec.max_range = 12.5;
   spec.deduplicate = 1;
-  spec.shard_threads = 6;
   spec.world_directory = "/tmp/some/world";
   spec.world_resident_byte_budget = 123456;
   spec.tile_shift = 9;
@@ -173,7 +172,8 @@ TEST(WireProtocol, SessionSpecRoundTrips) {
   EXPECT_EQ(back.resolution, spec.resolution);
   EXPECT_EQ(back.log_hit, spec.log_hit);
   EXPECT_EQ(back.max_range, spec.max_range);
-  EXPECT_EQ(back.shard_threads, spec.shard_threads);
+  EXPECT_EQ(back.hybrid_back_backend, spec.hybrid_back_backend);
+  EXPECT_EQ(back.telemetry_journal, spec.telemetry_journal);
   EXPECT_EQ(back.world_directory, spec.world_directory);
   EXPECT_EQ(back.world_resident_byte_budget, spec.world_resident_byte_budget);
   EXPECT_EQ(back.tile_shift, spec.tile_shift);

@@ -8,7 +8,6 @@
 
 #include "geom/rng.hpp"
 #include "map/scan_inserter.hpp"
-#include "pipeline/sharded_map_pipeline.hpp"
 #include "world_test_util.hpp"
 
 namespace omu::world {
@@ -135,24 +134,23 @@ TEST(TiledWorldMap, EquivalenceSurvivesEvictionUnderAByteBudget) {
             cfg.resident_byte_budget + stats.max_residency_step_bytes);
 }
 
-TEST(TiledWorldMap, MatchesShardedPipelineContent) {
+TEST(TiledWorldMap, MatchesSerialOctreeContent) {
   TiledWorldConfig cfg;
   cfg.tile_shift = 6;
   TiledWorldMap world(cfg);
-  pipeline::ShardedMapPipeline sharded;
+  map::OccupancyOctree serial(cfg.resolution, cfg.params);
   const std::vector<SweepScan> scans = make_sweep_scans(9, 10, 250);
   map::ScanInserter world_inserter(world);
-  map::ScanInserter sharded_inserter(sharded);
+  map::ScanInserter serial_inserter(serial);
   for (const SweepScan& scan : scans) {
     world_inserter.insert_scan(scan.points, scan.origin);
-    sharded_inserter.insert_scan(scan.points, scan.origin);
+    serial_inserter.insert_scan(scan.points, scan.origin);
   }
   world.flush();
-  sharded.flush();
-  // Both shard the same stream at different granularities; the merged
-  // octree re-prunes, so compare in the world's normalized form.
+  // The serial tree may prune above the tile-root depth, so compare in
+  // the world's normalized form.
   EXPECT_EQ(world.leaves_sorted(),
-            map::normalize_to_min_depth(sharded.leaves_sorted(), world.grid().tile_depth()));
+            map::normalize_to_min_depth(serial.leaves_sorted(), world.grid().tile_depth()));
 }
 
 TEST(TiledWorldMap, EmptyWorldAnswersUnknown) {

@@ -2,7 +2,7 @@
 // but the installed <omu/omu.hpp> surface. Exercises the documented
 // lifecycle — nested builder config (including rejections), insert,
 // flush, snapshot queries, live queries, cross-backend bit-identity
-// (sharded and hybrid vs octree), save_map — and exits nonzero on any
+// (hybrid vs octree), save_map — and exits nonzero on any
 // deviation. Compiling this file with no src/ include path is itself
 // the test that the public headers are self-contained.
 #include <omu/omu.hpp>
@@ -64,9 +64,8 @@ int main(int argc, char** argv) {
 
   // ---- Config validation speaks nested field names ------------------------
   {
-    Result<Mapper> bad =
-        Mapper::create(MapperConfig().backend(BackendKind::kSharded).sharded({.threads = 0}));
-    if (int rc = expect_rejected(bad, "sharded.threads")) return rc;
+    Result<Mapper> bad = Mapper::create(MapperConfig().backend(static_cast<BackendKind>(9)));
+    if (int rc = expect_rejected(bad, "backend")) return rc;
   }
   {
     Result<Mapper> bad = Mapper::create(
@@ -79,12 +78,9 @@ int main(int argc, char** argv) {
     if (int rc = expect_rejected(bad, "hybrid.back_backend")) return rc;
   }
 
-  // ---- Octree, sharded, and hybrid sessions over the identical stream -----
+  // ---- Octree and hybrid sessions over the identical stream --------------
   Result<Mapper> octree = Mapper::create(MapperConfig().resolution(0.2));
   if (!octree.ok()) return fail("create(octree)", octree.status());
-  Result<Mapper> sharded = Mapper::create(
-      MapperConfig().resolution(0.2).backend(BackendKind::kSharded).sharded({.threads = 4}));
-  if (!sharded.ok()) return fail("create(sharded)", sharded.status());
   Result<Mapper> hybrid = Mapper::create(
       MapperConfig().resolution(0.2).backend(BackendKind::kHybrid).hybrid(
           {.window_voxels = 64, .back_backend = BackendKind::kOctree}));
@@ -93,14 +89,12 @@ int main(int argc, char** argv) {
   const std::vector<Point> scan = room_scan(2000);
   const Vec3 origin{0.0, 0.0, 0.0};
   if (Status s = octree->insert(scan, origin); !s.ok()) return fail("insert(octree)", s);
-  if (Status s = sharded->insert(scan, origin); !s.ok()) return fail("insert(sharded)", s);
   if (Status s = hybrid->insert(scan, origin); !s.ok()) return fail("insert(hybrid)", s);
   if (Status s = octree->flush(); !s.ok()) return fail("flush(octree)", s);
-  if (Status s = sharded->flush(); !s.ok()) return fail("flush(sharded)", s);
   if (Status s = hybrid->flush(); !s.ok()) return fail("flush(hybrid)", s);
 
   // ---- Snapshot + live queries -------------------------------------------
-  Result<MapView> view = sharded->snapshot();
+  Result<MapView> view = hybrid->snapshot();
   if (!view.ok()) return fail("snapshot", view.status());
   const Vec3 wall{4.0, 0.0, 0.0};
   const Vec3 mid_room{2.0, 0.0, 0.0};
@@ -127,13 +121,8 @@ int main(int argc, char** argv) {
 
   // ---- Cross-backend bit-identity ----------------------------------------
   Result<uint64_t> h1 = octree->content_hash();
-  Result<uint64_t> h2 = sharded->content_hash();
-  Result<uint64_t> h3 = hybrid->content_hash();
+  Result<uint64_t> h2 = hybrid->content_hash();
   if (!h1.ok() || !h2.ok() || h1.value() != h2.value()) {
-    std::fprintf(stderr, "FAIL: octree and sharded maps not bit-identical\n");
-    return 1;
-  }
-  if (!h3.ok() || h1.value() != h3.value()) {
     std::fprintf(stderr, "FAIL: hybrid-absorbed map not bit-identical to octree\n");
     return 1;
   }
@@ -158,12 +147,12 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const MapperStats stats = sharded->stats().value();
+  const MapperStats stats = hybrid->stats().value();
   std::printf("api smoke ok: %llu points -> %llu updates, %zu snapshot leaves, "
               "hash %016llx (%s vs %s)\n",
               static_cast<unsigned long long>(stats.ingest.points_inserted),
               static_cast<unsigned long long>(stats.ingest.voxel_updates), view->leaf_count(),
-              static_cast<unsigned long long>(h2.value()), sharded->backend_name().c_str(),
+              static_cast<unsigned long long>(h2.value()), octree->backend_name().c_str(),
               hybrid->backend_name().c_str());
   return 0;
 }

@@ -3,7 +3,7 @@
 //   omu_client smoke   (--unix <path> | --tcp <host:port>)
 //                      [--tenants <n>]   concurrent tenant connections (4)
 //                      [--scans <n>]     scans inserted per tenant (12)
-//                      [--backend octree|sharded|world|hybrid]
+//                      [--backend octree|world|hybrid]
 //                      [--quota-pps <n>] per-tenant points/s quota (0 = off)
 //     Each tenant opens its own connection and session, subscribes a
 //     mirror, inserts deterministic scans with flushes in between, then
@@ -36,7 +36,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: omu_client smoke   (--unix <path> | --tcp <host:port>)\n"
                "                          [--tenants <n>] [--scans <n>]\n"
-               "                          [--backend octree|sharded|world|hybrid]\n"
+               "                          [--backend octree|world|hybrid]\n"
                "                          [--quota-pps <n>]\n"
                "       omu_client metrics (--unix <path> | --tcp <host:port>)\n");
   return 2;
@@ -91,9 +91,6 @@ bool run_tenant(const SmokeOptions& opt, int tenant, std::string& error) {
     spec.quota.max_points_per_sec = opt.quota_pps;
     if (opt.backend == "octree") {
       spec.backend = static_cast<uint8_t>(omu::BackendKind::kOctree);
-    } else if (opt.backend == "sharded") {
-      spec.backend = static_cast<uint8_t>(omu::BackendKind::kSharded);
-      spec.shard_threads = 2;
     } else if (opt.backend == "world") {
       spec.backend = static_cast<uint8_t>(omu::BackendKind::kTiledWorld);
       spec.world_directory = "smoke_tenant" + std::to_string(tenant);

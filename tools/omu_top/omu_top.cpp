@@ -12,7 +12,7 @@
 //                                per-tenant columns
 //
 // The metrics table groups the hierarchical names by their first segment
-// (ingest / publish / absorber / paging / pipeline) and shows counters,
+// (ingest / publish / absorber / paging) and shows counters,
 // gauges and latency histograms with count, p50/p90/p99 and max. The
 // timeline view reconstructs the traced flush pipeline from the journal's
 // begin/end events (insert -> absorb -> flush -> splice -> publish),
