@@ -164,9 +164,9 @@ void service_bench(benchkit::State& state) {
     const double delta_bytes = service_counter(client, "omu_service_delta_bytes");
     const double epochs = service_counter(client, "omu_service_delta_events");
     // What naive rebroadcast would ship: the full canonical leaf run
-    // (14 bytes each on the wire) once per published epoch.
-    const double full_rebroadcast =
-        static_cast<double>(mirror.leaf_count()) * 14.0 * epochs;
+    // (kLeafRecordWireBytes each on the wire) once per published epoch.
+    const double full_rebroadcast = static_cast<double>(mirror.leaf_count()) *
+                                    static_cast<double>(service::kLeafRecordWireBytes) * epochs;
     state.set_counter("delta_bytes_total", delta_bytes);
     state.set_counter("delta_epochs", epochs);
     state.set_counter("delta_bytes_per_epoch", epochs > 0 ? delta_bytes / epochs : 0.0);

@@ -8,32 +8,32 @@ namespace omu::service {
 
 // ---- SubscriptionMirror ----------------------------------------------------
 
-void SubscriptionMirror::apply(const DeltaEvent& event) {
+void SubscriptionMirror::apply(DeltaEvent event) {
   std::lock_guard lock(mutex_);
   if (event.baseline != 0) shards_.clear();
   for (const uint64_t key : event.removed_shards) shards_.erase(key);
-  for (const DeltaShard& shard : event.changed_shards) {
-    shards_[shard.shard_key] = shard.leaves;
+  for (DeltaShard& shard : event.changed_shards) {
+    shards_[shard.shard_key] = Shard{std::move(shard.leaves), std::nullopt};
   }
   epoch_ = event.epoch;
   ++events_;
-  if (event.has_hash != 0) {
-    ++hash_checks_;
-    std::vector<map::LeafRecord> merged;
-    for (const auto& [key, leaves] : shards_) {
-      merged.insert(merged.end(), leaves.begin(), leaves.end());
+  if (event.has_digest != 0) {
+    ++digest_checks_;
+    std::vector<ShardHash> hashes;
+    hashes.reserve(shards_.size());
+    for (auto& [key, shard] : shards_) {
+      if (!shard.hash) shard.hash = shard_hash(shard.run);
+      hashes.push_back(ShardHash{key, *shard.hash});
     }
-    map::sort_canonical(merged);
-    const uint64_t hash = map::hash_leaf_records(map::normalize_to_depth1(std::move(merged)));
-    if (hash != event.publisher_hash) ++mismatches_;
+    if (shard_digest(hashes) != event.shard_digest) ++mismatches_;
   }
 }
 
 uint64_t SubscriptionMirror::content_hash() const {
   std::lock_guard lock(mutex_);
   std::vector<map::LeafRecord> merged;
-  for (const auto& [key, leaves] : shards_) {
-    merged.insert(merged.end(), leaves.begin(), leaves.end());
+  for (const auto& [key, shard] : shards_) {
+    merged.insert(merged.end(), shard.run.begin(), shard.run.end());
   }
   map::sort_canonical(merged);
   return map::hash_leaf_records(map::normalize_to_depth1(std::move(merged)));
@@ -52,7 +52,7 @@ std::size_t SubscriptionMirror::shard_count() const {
 std::size_t SubscriptionMirror::leaf_count() const {
   std::lock_guard lock(mutex_);
   std::size_t n = 0;
-  for (const auto& [key, leaves] : shards_) n += leaves.size();
+  for (const auto& [key, shard] : shards_) n += shard.run.size();
   return n;
 }
 
@@ -68,7 +68,7 @@ uint64_t SubscriptionMirror::hash_mismatches() const {
 
 bool SubscriptionMirror::converged() const {
   std::lock_guard lock(mutex_);
-  return hash_checks_ > 0 && mismatches_ == 0;
+  return digest_checks_ > 0 && mismatches_ == 0;
 }
 
 // ---- ServiceClient ---------------------------------------------------------
@@ -87,7 +87,7 @@ void ServiceClient::on_event(const Frame& frame) {
   WireReader r(frame.payload);
   event.decode(r);
   const auto it = mirrors_.find(event.subscription_id);
-  if (it != mirrors_.end() && it->second != nullptr) it->second->apply(event);
+  if (it != mirrors_.end() && it->second != nullptr) it->second->apply(std::move(event));
 }
 
 omu::Result<Frame> ServiceClient::call(MsgType type, std::vector<uint8_t> payload) {

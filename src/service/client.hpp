@@ -12,10 +12,14 @@
 //
 // SubscriptionMirror applies delta events: a baseline resets it, changed
 // shards replace their canonical leaf runs wholesale, removed shards
-// drop. Its content_hash() uses the library's one canonical formula
-// (normalize_to_depth1 + hash_leaf_records over the sorted merged run),
-// so mirror hash == publisher hash proves bit-identical convergence —
-// the subscription suite asserts it every epoch, including across forced
+// drop. Each shard keeps its shard_hash() next to its run, so checking an
+// event's shard digest hashes only the runs that event carried: digest
+// equality proves the mirror holds exactly the published shards, at
+// O(changed) cost per epoch. content_hash() is the library's canonical
+// whole-map formula (normalize_to_depth1 + hash_leaf_records over the
+// sorted merged run), computed on demand: mirror content_hash() == the
+// session's kContentHash RPC proves the mirror equals the backend — the
+// subscription suite asserts both every epoch, including across forced
 // tile eviction/reload on the server.
 #pragma once
 
@@ -23,6 +27,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,30 +43,35 @@ namespace omu::service {
 /// streamed DeltaEvents. Internally synchronized (apply vs. readers).
 class SubscriptionMirror {
  public:
-  /// Applies one event (baseline resets; changed shards replace; removed
-  /// shards drop). When the event carries the publisher's hash, verifies
-  /// convergence and counts a mismatch if the hashes differ.
-  void apply(const DeltaEvent& event);
+  /// Applies one event (baseline resets; changed shards' runs move in;
+  /// removed shards drop). When the event carries a shard digest, checks
+  /// it against the mirror's own and counts a mismatch if they differ.
+  void apply(DeltaEvent event);
 
   /// Canonical content hash of the mirrored map — comparable with
-  /// Mapper::content_hash() of the publishing session.
+  /// Mapper::content_hash() of the publishing session. O(map).
   uint64_t content_hash() const;
 
   uint64_t epoch() const;
   std::size_t shard_count() const;
   std::size_t leaf_count() const;
   uint64_t events_applied() const;
-  /// Epochs whose attached publisher hash did not match the mirror.
+  /// Epochs whose attached shard digest did not match the mirror's.
   uint64_t hash_mismatches() const;
-  /// True when at least one hash-carrying event arrived and none mismatched.
+  /// True when at least one digest-carrying event arrived and none mismatched.
   bool converged() const;
 
  private:
+  struct Shard {
+    std::vector<map::LeafRecord> run;
+    std::optional<uint64_t> hash;  ///< shard_hash(run), once a digest needed it
+  };
+
   mutable std::mutex mutex_;
-  std::map<uint64_t, std::vector<map::LeafRecord>> shards_;
+  std::map<uint64_t, Shard> shards_;
   uint64_t epoch_ = 0;
   uint64_t events_ = 0;
-  uint64_t hash_checks_ = 0;
+  uint64_t digest_checks_ = 0;
   uint64_t mismatches_ = 0;
 };
 

@@ -72,6 +72,16 @@ struct MapService::Subscriber {
   std::map<uint64_t, std::shared_ptr<const void>> shards;
 };
 
+/// One shard of a session's published state: the identity (chunk / tile
+/// snapshot) it names, pinned like Subscriber::shards, and its
+/// shard_hash() once some subscriber asked for digests — an unchanged
+/// identity reuses it, so digest work is O(changed).
+struct MapService::PublishedShard {
+  std::shared_ptr<const void> identity;
+  const std::vector<map::LeafRecord>* leaves = nullptr;  ///< owned by identity
+  std::optional<uint64_t> hash;
+};
+
 struct MapService::Session {
   uint64_t id = 0;
   std::string tenant;
@@ -84,10 +94,10 @@ struct MapService::Session {
   std::chrono::steady_clock::time_point last_refill{};
   bool bucket_primed = false;
 
-  // Delta-publication state: the epoch counter and the shard identities
-  // of the last published state (epoch advances only when they change).
+  // Delta-publication state: the epoch counter and the shards of the last
+  // published state (epoch advances only when their identities change).
   uint64_t epoch = 0;
-  std::map<uint64_t, std::shared_ptr<const void>> last_shards;
+  std::map<uint64_t, PublishedShard> last_shards;
   std::vector<Subscriber> subscribers;
 };
 
@@ -687,34 +697,14 @@ uint64_t MapService::broadcast_deltas(Session& session) {
 
   // A shard's current identity pins the chunk / tile snapshot it names,
   // so pointer identity across epochs is exact (no allocator ABA).
-  struct ShardRef {
-    std::shared_ptr<const void> identity;
-    const std::vector<map::LeafRecord>* leaves = nullptr;
-  };
-  std::map<uint64_t, ShardRef> current;
-
-  // Publisher hash first: content_hash() re-flushes (a no-op right after
-  // the caller's flush), so the shard capture below matches it exactly.
-  const bool want_hash =
-      std::any_of(session.subscribers.begin(), session.subscribers.end(),
-                  [](const Subscriber& s) { return s.include_hash; });
-  uint64_t publisher_hash = 0;
-  bool have_hash = false;
-  if (want_hash) {
-    auto result = session.mapper->content_hash();
-    if (result.ok()) {
-      publisher_hash = *result;
-      have_hash = true;
-    }
-  }
-
+  std::map<uint64_t, PublishedShard> current;
   if (world::TiledWorldMap* world = session.mapper->internal_world()) {
     const auto view = world->capture_view();
     for (const world::TileId id : view->tile_ids()) {
       auto tile = view->tile_snapshot(id);
       if (tile == nullptr || tile->empty()) continue;
       const auto* leaves = &tile->leaves();
-      current.emplace(id, ShardRef{std::move(tile), leaves});
+      current.emplace(id, PublishedShard{std::move(tile), leaves, std::nullopt});
     }
   } else if (query::QueryService* qs = session.mapper->internal_query_service()) {
     const auto snapshot = qs->snapshot();
@@ -723,23 +713,39 @@ uint64_t MapService::broadcast_deltas(Session& session) {
         auto chunk = snapshot->branch_chunk(branch);
         if (chunk == nullptr || chunk->leaves().empty()) continue;
         const auto* leaves = &chunk->leaves();
-        current.emplace(static_cast<uint64_t>(branch), ShardRef{std::move(chunk), leaves});
+        current.emplace(static_cast<uint64_t>(branch),
+                        PublishedShard{std::move(chunk), leaves, std::nullopt});
       }
     }
   }
 
   // The epoch advances only when the published identity-state changed.
   bool state_changed = current.size() != session.last_shards.size();
-  if (!state_changed) {
-    for (const auto& [key, ref] : current) {
-      const auto it = session.last_shards.find(key);
-      if (it == session.last_shards.end() || it->second != ref.identity) {
-        state_changed = true;
-        break;
-      }
+  for (auto& [key, shard] : current) {
+    const auto it = session.last_shards.find(key);
+    if (it != session.last_shards.end() && it->second.identity == shard.identity) {
+      shard.hash = it->second.hash;
+    } else {
+      state_changed = true;
     }
   }
   if (state_changed) ++session.epoch;
+
+  // The shard digest hashes only runs whose identity is new since the
+  // last publication that computed one.
+  const bool want_digest =
+      std::any_of(session.subscribers.begin(), session.subscribers.end(),
+                  [](const Subscriber& s) { return s.include_hash; });
+  uint64_t digest = 0;
+  if (want_digest) {
+    std::vector<ShardHash> hashes;
+    hashes.reserve(current.size());
+    for (auto& [key, shard] : current) {
+      if (!shard.hash) shard.hash = shard_hash(*shard.leaves);
+      hashes.push_back(ShardHash{key, *shard.hash});
+    }
+    digest = shard_digest(hashes);
+  }
 
   int64_t max_lag = 0;
   for (auto it = session.subscribers.begin(); it != session.subscribers.end();) {
@@ -754,19 +760,19 @@ uint64_t MapService::broadcast_deltas(Session& session) {
         if (current.find(key) == current.end()) event.removed_shards.push_back(key);
       }
     }
-    for (const auto& [key, ref] : current) {
+    for (const auto& [key, shard] : current) {
       const auto prev = sub.shards.find(key);
-      if (event.baseline != 0 || prev == sub.shards.end() || prev->second != ref.identity) {
-        event.changed_shards.push_back(DeltaShard{key, *ref.leaves});
+      if (event.baseline != 0 || prev == sub.shards.end() || prev->second != shard.identity) {
+        event.changed_shards.push_back(DeltaShard{key, *shard.leaves});
       }
     }
     if (event.baseline == 0 && event.changed_shards.empty() && event.removed_shards.empty()) {
       ++it;
       continue;  // this subscriber is already converged on this state
     }
-    if (sub.include_hash && have_hash) {
-      event.has_hash = 1;
-      event.publisher_hash = publisher_hash;
+    if (sub.include_hash) {
+      event.has_digest = 1;
+      event.shard_digest = digest;
     }
     max_lag = std::max(max_lag, static_cast<int64_t>(session.epoch - sub.last_epoch));
 
@@ -789,11 +795,10 @@ uint64_t MapService::broadcast_deltas(Session& session) {
     sub.baseline_sent = true;
     sub.last_epoch = session.epoch;
     sub.shards.clear();
-    for (const auto& [key, ref] : current) sub.shards.emplace(key, ref.identity);
+    for (const auto& [key, shard] : current) sub.shards.emplace(key, shard.identity);
     ++it;
   }
-  session.last_shards.clear();
-  for (const auto& [key, ref] : current) session.last_shards.emplace(key, ref.identity);
+  session.last_shards = std::move(current);
 
   if (subscription_lag_ != nullptr) subscription_lag_->set(max_lag);
   if (delta_publish_ns_ != nullptr) delta_publish_ns_->record(now_ns() - t0);

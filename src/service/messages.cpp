@@ -1,5 +1,7 @@
 #include "service/messages.hpp"
 
+#include "io/framing.hpp"
+
 namespace omu::service {
 
 namespace {
@@ -20,9 +22,8 @@ void encode_leaves(WireWriter& w, const std::vector<map::LeafRecord>& leaves) {
 
 std::vector<map::LeafRecord> decode_leaves(WireReader& r) {
   const uint32_t count = r.u32();
-  // 11 wire bytes per record: reject counts the payload cannot hold
-  // before allocating.
-  if (static_cast<std::size_t>(count) * 11 > r.remaining()) {
+  // Reject counts the payload cannot hold before allocating.
+  if (static_cast<std::size_t>(count) * kLeafRecordWireBytes > r.remaining()) {
     throw WireError("leaf run length exceeds payload");
   }
   std::vector<map::LeafRecord> leaves(count);
@@ -378,13 +379,26 @@ void MetricsReply::decode(WireReader& r) {
 
 // ---- DeltaEvent ----------------------------------------------------------
 
+uint64_t shard_hash(const std::vector<map::LeafRecord>& run) {
+  return map::hash_leaf_records(run);
+}
+
+uint64_t shard_digest(std::span<const ShardHash> shards) {
+  uint64_t h = io::kFnv1aOffsetBasis;
+  for (const ShardHash& shard : shards) {
+    h = io::fnv1a_mix_u64(h, shard.shard_key);
+    h = io::fnv1a_mix_u64(h, shard.hash);
+  }
+  return h;
+}
+
 void DeltaEvent::encode(WireWriter& w) const {
   w.u64(session_id);
   w.u64(subscription_id);
   w.u64(epoch);
   w.u8(baseline);
-  w.u8(has_hash);
-  w.u64(publisher_hash);
+  w.u8(has_digest);
+  w.u64(shard_digest);
   w.u32(static_cast<uint32_t>(removed_shards.size()));
   for (uint64_t key : removed_shards) w.u64(key);
   w.u32(static_cast<uint32_t>(changed_shards.size()));
@@ -399,8 +413,8 @@ void DeltaEvent::decode(WireReader& r) {
   subscription_id = r.u64();
   epoch = r.u64();
   baseline = r.u8();
-  has_hash = r.u8();
-  publisher_hash = r.u64();
+  has_digest = r.u8();
+  shard_digest = r.u64();
   const uint32_t removed_count = r.u32();
   if (static_cast<std::size_t>(removed_count) * 8 > r.remaining()) {
     throw WireError("delta removed-shard run exceeds payload");

@@ -13,11 +13,15 @@
 // canonical leaf runs keyed by a uint64 shard key — the first-level
 // branch index (0..7) for snapshot-backed sessions, the TileId for
 // tiled-world sessions — plus the keys of shards that vanished and,
-// optionally, the publisher's content hash so a mirror can prove
-// convergence every epoch.
+// optionally, the shard digest of everything published (shard_digest()
+// below) so a mirror can prove it holds exactly the published shards
+// every epoch. The digest costs O(changed) on both ends; the canonical
+// whole-map content hash is the on-demand kContentHash RPC.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -227,8 +231,8 @@ struct SaveRequest {
 
 struct SubscribeRequest {
   uint64_t session_id = 0;
-  /// Ask the publisher to compute and attach its content hash to every
-  /// delta (costs an O(map) hash per epoch; benches turn it off).
+  /// Ask the publisher to attach the shard digest to every delta (costs
+  /// hashing each changed run once, on both ends).
   uint8_t include_hash = 1;
   void encode(WireWriter& w) const;
   void decode(WireReader& r);
@@ -260,11 +264,30 @@ struct MetricsReply {
   void decode(WireReader& r);
 };
 
+/// Wire bytes of one leaf record in a delta run: 3 x u16 key, u8 depth,
+/// f32 log-odds. A run is a u32 count followed by that many records.
+inline constexpr std::size_t kLeafRecordWireBytes = 11;
+
 /// One changed shard in a delta: its full canonical leaf run.
 struct DeltaShard {
   uint64_t shard_key = 0;
   std::vector<map::LeafRecord> leaves;
 };
+
+/// A published shard's key and its shard_hash().
+struct ShardHash {
+  uint64_t shard_key = 0;
+  uint64_t hash = 0;
+};
+
+/// A shard's hash: map::hash_leaf_records over the exact run a delta
+/// carries for it.
+uint64_t shard_hash(const std::vector<map::LeafRecord>& run);
+
+/// The subscription convergence digest: FNV-1a (io::fnv1a_mix_u64) over
+/// each (shard_key, hash) pair, in ascending shard-key order, across every
+/// shard currently published. Publisher and mirror both compute it here.
+uint64_t shard_digest(std::span<const ShardHash> shards);
 
 /// A subscription delta event (server -> client, request_id 0).
 struct DeltaEvent {
@@ -273,8 +296,9 @@ struct DeltaEvent {
   uint64_t epoch = 0;
   /// First event of a subscription: the mirror must reset before applying.
   uint8_t baseline = 0;
-  uint8_t has_hash = 0;
-  uint64_t publisher_hash = 0;
+  uint8_t has_digest = 0;
+  /// shard_digest() of the published state this event brings a mirror to.
+  uint64_t shard_digest = 0;
   std::vector<uint64_t> removed_shards;
   std::vector<DeltaShard> changed_shards;
 

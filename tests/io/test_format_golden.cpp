@@ -92,9 +92,9 @@ TEST(FormatGolden, InsertFrameBytes) {
   frame.payload = writer.take();
   const std::vector<uint8_t> bytes = service::encode_frame(frame);
   EXPECT_EQ(to_hex(bytes.data(), bytes.size()),
-            "57554d4f0200040088776655443322113c000000070000000000000000000000"
+            "57554d4f0300040088776655443322113c000000070000000000000000000000"
             "0000f03f00000000000004c0000000000000c03f060000000000003f000080bf"
-            "0000004000005040000080400000b0c0608c4af601a8bf10");
+            "0000004000005040000080400000b0c0c97e0b5b080636ef");
 }
 
 TEST(FormatGolden, CreateRequestBytes) {
@@ -130,11 +130,11 @@ TEST(FormatGolden, CreateRequestBytes) {
   frame.payload = writer.take();
   const std::vector<uint8_t> bytes = service::encode_frame(frame);
   EXPECT_EQ(to_hex(bytes.data(), bytes.size()),
-            "57554d4f02000200080706050403020165000000020000007431049a99999999"
+            "57554d4f03000200080706050403020165000000020000007431049a99999999"
             "99b93f6666663f9a9999be0000c0bf000020400000803e000000000000003e40"
             "0101000000770010000000000000070000002000000064000000000000000300"
-            "01000010000000000088130000000000000008000000000000aba8279c936730"
-            "6b");
+            "01000010000000000088130000000000000008000000000000a8d334ec5b83f7"
+            "94");
 }
 
 TEST(FormatGolden, LeafRecordHash) {
@@ -145,6 +145,24 @@ TEST(FormatGolden, LeafRecordHash) {
   };
   EXPECT_EQ(map::hash_leaf_records(records), 15733725855464318227ull);
   EXPECT_EQ(map::hash_leaf_records({}), 0xCBF29CE484222325ull);  // FNV-1a offset basis
+}
+
+TEST(FormatGolden, ShardDigest) {
+  // The subscription convergence digest of a fixed two-shard state: a
+  // branch-sized key over a three-leaf run and a TileId-sized key over one
+  // leaf. Publisher and mirror must agree on this value across builds.
+  const std::vector<map::LeafRecord> first = {
+      {map::OcKey{1, 2, 3}, 16, 0.85f},
+      {map::OcKey{32768, 32768, 32768}, 12, -0.4f},
+      {map::OcKey{65535, 0, 4096}, 1, 3.5f},
+  };
+  const std::vector<map::LeafRecord> second = {{map::OcKey{7, 8, 9}, 14, -1.25f}};
+  const std::vector<service::ShardHash> shards = {
+      {3, service::shard_hash(first)},
+      {0x0000000100000002ull, service::shard_hash(second)},
+  };
+  EXPECT_EQ(service::shard_digest(shards), 17940106719928461880ull);
+  EXPECT_EQ(service::shard_digest({}), 0xCBF29CE484222325ull);  // FNV-1a offset basis
 }
 
 template <typename T>

@@ -1,8 +1,9 @@
 // Streaming delta subscriptions: a mirror built purely from delta events
-// converges to the publisher's snapshot hash every epoch — including
-// across forced tile eviction/reload on the server — deltas are
-// incremental (changed shards only, not full-map rebroadcasts), and
-// subscribers come and go without disturbing the session.
+// matches the published shard digest and the backend's canonical content
+// hash every epoch — including across forced tile eviction/reload on the
+// server — deltas are incremental (changed shards only, not full-map
+// rebroadcasts), and subscribers come and go without disturbing the
+// session.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -46,9 +47,14 @@ TEST(ServiceSubscription, MirrorConvergesEveryEpoch) {
     auto epoch = client.flush(*session);
     ASSERT_TRUE(epoch.ok());
     // The epoch's deltas are sent before the flush reply, so the mirror is
-    // already converged here — every epoch, not just the last.
+    // already converged here — every epoch, not just the last. The digest
+    // proves mirror == published shards; the canonical hash RPC proves
+    // published shards == backend.
     EXPECT_EQ(mirror.epoch(), *epoch);
     EXPECT_EQ(mirror.hash_mismatches(), 0u) << "diverged at scan " << scan;
+    auto server_hash = client.content_hash(*session);
+    ASSERT_TRUE(server_hash.ok());
+    EXPECT_EQ(mirror.content_hash(), *server_hash) << "diverged at scan " << scan;
   }
   EXPECT_TRUE(mirror.converged());
   EXPECT_GT(mirror.leaf_count(), 0u);
@@ -121,6 +127,9 @@ TEST(ServiceSubscription, WorldMirrorSurvivesForcedEvictionAndReload) {
     auto epoch = client.flush(*session);
     ASSERT_TRUE(epoch.ok());
     EXPECT_EQ(mirror.hash_mismatches(), 0u) << "diverged at scan " << scan_index;
+    auto server_hash = client.content_hash(*session);
+    ASSERT_TRUE(server_hash.ok());
+    EXPECT_EQ(mirror.content_hash(), *server_hash) << "diverged at scan " << scan_index;
     ++scan_index;
   }
   EXPECT_TRUE(mirror.converged());

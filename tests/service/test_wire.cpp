@@ -190,8 +190,8 @@ TEST(WireProtocol, DeltaEventRoundTripsLeafRuns) {
   event.subscription_id = 8;
   event.epoch = 21;
   event.baseline = 1;
-  event.has_hash = 1;
-  event.publisher_hash = 0xFEEDFACECAFEBEEFull;
+  event.has_digest = 1;
+  event.shard_digest = 0xFEEDFACECAFEBEEFull;
   event.removed_shards = {5, 9};
   for (int s = 0; s < 3; ++s) {
     DeltaShard shard;
@@ -216,12 +216,31 @@ TEST(WireProtocol, DeltaEventRoundTripsLeafRuns) {
   EXPECT_TRUE(r.done());
 
   EXPECT_EQ(back.epoch, event.epoch);
-  EXPECT_EQ(back.publisher_hash, event.publisher_hash);
+  EXPECT_EQ(back.has_digest, event.has_digest);
+  EXPECT_EQ(back.shard_digest, event.shard_digest);
   EXPECT_EQ(back.removed_shards, event.removed_shards);
   ASSERT_EQ(back.changed_shards.size(), event.changed_shards.size());
   for (std::size_t s = 0; s < back.changed_shards.size(); ++s) {
     EXPECT_EQ(back.changed_shards[s].shard_key, event.changed_shards[s].shard_key);
     EXPECT_EQ(back.changed_shards[s].leaves, event.changed_shards[s].leaves);
+  }
+}
+
+TEST(WireProtocol, LeafRunIsCountPlusElevenBytesPerLeaf) {
+  // A run on the wire is a u32 count and kLeafRecordWireBytes per leaf;
+  // bench/service.cpp prices a full rebroadcast by that figure.
+  ASSERT_EQ(kLeafRecordWireBytes, 11u);
+  DeltaEvent event;
+  WireWriter no_shards;
+  event.encode(no_shards);
+  for (const std::size_t n : {0u, 1u, 7u, 300u}) {
+    event.changed_shards.assign(
+        1, DeltaShard{4, std::vector<map::LeafRecord>(
+                             n, map::LeafRecord{map::OcKey{1, 2, 3}, 16, 0.85f})});
+    WireWriter w;
+    event.encode(w);
+    // One changed shard adds its u64 key and its run.
+    EXPECT_EQ(w.bytes().size(), no_shards.bytes().size() + 8 + (4 + 11 * n)) << n << " leaves";
   }
 }
 

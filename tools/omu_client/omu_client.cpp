@@ -7,7 +7,7 @@
 //                      [--quota-pps <n>] per-tenant points/s quota (0 = off)
 //     Each tenant opens its own connection and session, subscribes a
 //     mirror, inserts deterministic scans with flushes in between, then
-//     proves the mirror converged (publisher hash every epoch + final
+//     proves the mirror converged (shard digest every epoch + final
 //     content-hash RPC) and that query answers match classify. Afterwards
 //     one extra connection fetches /metrics over RPC and validates the
 //     exposition. Exit 0 = every check passed.
@@ -135,7 +135,7 @@ bool run_tenant(const SmokeOptions& opt, int tenant, std::string& error) {
       return false;
     }
 
-    // Convergence: the mirror matched the publisher hash on every epoch,
+    // Convergence: the mirror matched the shard digest on every epoch,
     // and its own canonical hash equals the content-hash RPC right now.
     if (mirror.hash_mismatches() != 0 || !mirror.converged()) {
       error = "mirror diverged (" + std::to_string(mirror.hash_mismatches()) + " mismatches in " +
