@@ -40,12 +40,16 @@ MapSnapshotDelta OctreeBackend::export_snapshot_delta(uint64_t since_generation)
   delta.resolution = tree_->resolution();
   delta.params = tree_->params();
   delta.generation = harvest.generation;
-  if (harvest.full) {
+  if (harvest.full && tree_->root_collapsed()) {
+    // A collapsed map has no branch runs: its export is one depth-0 record.
     delta.leaves = tree_->leaves_sorted();
-  } else {
-    for (int b = 0; b < 8; ++b) {
-      if (harvest.dirty_mask & (1u << b)) tree_->collect_branch_leaves(b, delta.leaves);
-    }
+    return delta;
+  }
+  // The dirty branches' DFS runs, in branch order: Morton order, which is
+  // what MapSnapshot folds without sorting. A full export is all eight.
+  if (harvest.full) delta.leaves.reserve(tree_->leaf_reserve_hint());
+  for (int b = 0; b < 8; ++b) {
+    if (harvest.dirty_mask & (1u << b)) tree_->collect_branch_leaves(b, delta.leaves);
   }
   return delta;
 }

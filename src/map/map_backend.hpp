@@ -33,11 +33,13 @@ class Telemetry;  // obs/telemetry.hpp
 namespace omu::map {
 
 /// Everything a backend exports to build an immutable map snapshot (see
-/// query::MapSnapshot): the canonical sorted leaf list plus the metric and
-/// sensor-model parameters needed to answer queries against it. Kept in
-/// the map layer so backends don't depend on the query layer.
+/// query::MapSnapshot): the leaf list plus the metric and sensor-model
+/// parameters needed to answer queries against it. Kept in the map layer
+/// so backends don't depend on the query layer.
 struct MapSnapshotData {
-  std::vector<LeafRecord> leaves;  ///< canonical (packed-key, depth) order
+  /// Any order. export_snapshot_data() gives canonical (packed-key, depth)
+  /// order; MapSnapshot::build folds Morton order without a sort.
+  std::vector<LeafRecord> leaves;
   double resolution = 0.2;
   OccupancyParams params{};
 };
@@ -54,8 +56,9 @@ struct MapSnapshotDelta {
   /// When !full: bit b set = branch b's complete leaf set is in `leaves`
   /// (an empty branch contributes no records but still counts as dirty).
   uint8_t dirty_mask = 0xFF;
-  /// The whole map (full) or the dirty branches' leaves, in canonical
-  /// (packed key, depth) order within each branch.
+  /// The whole map (full) or the dirty branches' leaves. The octree
+  /// exports Morton (DFS) order, branch by branch; the default export is
+  /// canonical order. MapSnapshot accepts either.
   std::vector<LeafRecord> leaves;
   double resolution = 0.2;
   OccupancyParams params{};

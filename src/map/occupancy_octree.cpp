@@ -676,7 +676,8 @@ void OccupancyOctree::collect_branch_leaves(int branch, std::vector<LeafRecord>&
   // The appended run is in DFS (Morton) order, NOT canonical order:
   // packed() is z-major raster order (z<<32 | y<<16 | x), so e.g. a leaf
   // at (x=0, y=h-1) is emitted before one at (x=h, y=0) although it sorts
-  // after it. Consumers must sort_canonical() the run before relying on it.
+  // after it. query::MapSnapshot folds this order as it comes; a consumer
+  // that needs canonical order sort_canonical()s the run.
   leaves_recurs(root.children + branch, base, 1,
                 [&out](const OcKey& key, int depth, float value) {
                   out.push_back(LeafRecord{key, depth, value});

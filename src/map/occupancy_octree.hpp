@@ -230,11 +230,14 @@ class OccupancyOctree {
   DirtyHarvest harvest_dirty_branches(uint64_t since_generation);
 
   /// Collects the leaves under first-level branch `branch` (0..7), appended
-  /// to `out` in canonical (packed key, depth) order — the DFS emits
-  /// children in ascending packed order, so no sort is needed. A collapsed
-  /// (root-leaf) or empty map contributes nothing; harvest_dirty_branches
-  /// reports `full` for the collapsed case so callers never depend on
-  /// per-branch collection there.
+  /// to `out` in DFS order, which is Morton order (ascending
+  /// geom::kernels::morton48 of the leaf key): children are visited in
+  /// child-index order, and the child index is the key's 3-bit Morton
+  /// group at that level. It is NOT canonical (packed key) order.
+  /// Branches collected in ascending order concatenate into one Morton-
+  /// ordered list. A collapsed (root-leaf) or empty map contributes
+  /// nothing; harvest_dirty_branches reports `full` for the collapsed case
+  /// so callers never depend on per-branch collection there.
   void collect_branch_leaves(int branch, std::vector<LeafRecord>& out) const;
 
   /// True when the whole map is one pruned depth-0 leaf (every branch

@@ -1,23 +1,29 @@
 // Immutable, flattened snapshot of an occupancy map — the read side of the
 // concurrent Voxel Query service (paper Sec. V, Fig. 4).
 //
-// A MapSnapshot is built from any MapBackend's canonical leaves_sorted()
-// export and never mutated afterwards, so any number of reader threads can
-// answer point, batch, multi-resolution and AABB queries against it with
-// no synchronization at all while the writer keeps integrating scans into
-// the live map. This is the same reader/writer decoupling OHM and the
-// OpenVDB mapping pipeline get from immutable/flattened map views.
+// A MapSnapshot is built from any MapBackend's leaf export and never
+// mutated afterwards, so any number of reader threads can answer point,
+// batch, multi-resolution and AABB queries against it with no
+// synchronization at all while the writer keeps integrating scans into the
+// live map. This is the same reader/writer decoupling OHM and the OpenVDB
+// mapping pipeline get from immutable/flattened map views.
 //
 // Representation: eight refcounted immutable *chunks*, one per first-level
 // branch (the root child octant the OMU voxel scheduler routes by). Each
-// chunk holds its branch's canonical leaf run plus per-depth flat sorted
-// arrays of packed aligned keys; reconstructed inner-node values are the
-// max over descendant leaves, which is bit-identical to the octree's
-// parent max-propagation (max over the same floats is associative), so
-// snapshot answers match a flushed serial classify()/search() exactly —
-// the property tests/query/test_snapshot_equivalence.cpp enforces across
-// all backends. Every query is a short chain of binary searches inside
-// one chunk.
+// chunk holds its branch's leaf run in Morton (DFS) order plus per-depth
+// flat sorted arrays of Morton-coded aligned keys. Morton order is the
+// order the octree already stores children in (child i in bank i, paper
+// Fig. 5), so a depth-first export arrives sorted and one depth-stack fold
+// over it produces every level's arrays sorted, with no sort and no hash
+// map. Reconstructed inner-node values are the max over descendant leaves,
+// which is bit-identical to the octree's parent max-propagation (max over
+// the same floats is associative), so snapshot answers match a flushed
+// serial classify()/search() exactly — the property
+// tests/query/test_snapshot_equivalence.cpp enforces across all backends.
+// Every query is a short chain of binary searches inside one chunk.
+//
+// The canonical (packed key, depth) order — the order of leaves(),
+// content_hash() and every file format — is computed on demand only.
 //
 // The chunk split is what makes publication O(changed): build_incremental
 // rebuilds only the branches a MapSnapshotDelta marks dirty and shares
@@ -71,8 +77,10 @@ struct SnapshotNodeProbe {
 /// snapshot alive across a concurrent publication of its successor.
 class MapSnapshot {
  public:
-  /// One depth level of one first-level branch: parallel sorted arrays of
-  /// packed depth-aligned keys and node values.
+  /// One depth level of one first-level branch: parallel arrays of node
+  /// keys and values. A key is geom::kernels::morton48 of the node's
+  /// depth-aligned OcKey (the low 3*(16-depth) bits are zero), and each key
+  /// array is strictly ascending.
   struct Level {
     std::vector<uint64_t> leaf_keys;
     std::vector<float> leaf_values;
@@ -87,8 +95,12 @@ class MapSnapshot {
   /// lifetime properties directly.
   class Chunk {
    public:
-    /// This branch's leaves in canonical (packed key, depth) order.
+    /// This branch's leaves in Morton order: the depth-first run
+    /// OccupancyOctree::collect_branch_leaves exports. Not canonical order;
+    /// MapSnapshot::leaves() is.
     const std::vector<map::LeafRecord>& leaves() const { return leaves_; }
+    /// The node arrays of depth `depth` (1..16).
+    const Level& level(int depth) const { return levels_[static_cast<std::size_t>(depth)]; }
     std::size_t leaf_count() const { return leaves_.size(); }
     /// Max log-odds over the branch's leaves (feeds the root's value).
     float max_log_odds() const { return max_log_odds_; }
@@ -111,8 +123,12 @@ class MapSnapshot {
     std::size_t bytes_rebuilt = 0;  ///< fresh memory allocated by this build
   };
 
-  /// Builds a snapshot from a backend's export. `epoch` tags the snapshot
-  /// with its publication sequence number (see QueryService).
+  /// Builds a snapshot from a backend's export, in any leaf order. A
+  /// Morton-ordered export (a full export_snapshot_delta of the octree)
+  /// is folded as it comes; any other order is Morton-sorted once first.
+  /// The flat canonical form is left lazy (see leaves()), except for a
+  /// collapsed depth-0 map. `epoch` tags the snapshot with its
+  /// publication sequence number (see QueryService).
   static std::shared_ptr<const MapSnapshot> build(map::MapSnapshotData data, uint64_t epoch = 0);
 
   /// Incremental build: rebuilds only the branches `delta` marks dirty and
@@ -179,10 +195,11 @@ class MapSnapshot {
   std::size_t leaf_count() const;
   bool empty() const { return root_.kind == NodeKind::kUnknown; }
 
-  /// The canonical sorted leaf array of the whole map. Incremental builds
-  /// materialize it lazily (merging the chunk runs, O(map), cached and
-  /// thread-safe) — the query paths never need it, so an O(changed) flush
-  /// stays O(changed) unless a consumer asks for the flat form.
+  /// The canonical (packed key, depth) sorted leaf array of the whole map.
+  /// Materialized lazily on first use (merging and sorting the chunk runs,
+  /// O(map log map), cached and thread-safe) — the query paths never need
+  /// it, so a flush stays free of it unless a consumer asks for the flat
+  /// form.
   const std::vector<map::LeafRecord>& leaves() const;
 
   /// Hash of the canonical leaf content, comparable with the backends'
@@ -214,21 +231,27 @@ class MapSnapshot {
         params_(params.quantized ? params.snapped_to_fixed_point() : params),
         epoch_(epoch) {}
 
-  /// Builds the immutable chunk of one branch from its canonical leaf run.
-  /// Returns null for an empty run (unknown branch).
+  /// Builds the immutable chunk of one branch from its leaf run, Morton-
+  /// sorting it first if it is not in Morton order. Returns null for an
+  /// empty run (unknown branch).
   static std::shared_ptr<const Chunk> build_chunk(std::vector<map::LeafRecord> branch_leaves);
 
-  /// Node at (aligned key, depth) — kLeaf with its value, kInner with the
-  /// subtree max, or kUnknown.
-  NodeLookup node_at(const map::OcKey& key, int depth) const;
+  /// Node at depth `depth` on the path of the key whose morton48 code is
+  /// `morton` — kLeaf with its value, kInner with the subtree max, or
+  /// kUnknown.
+  NodeLookup node_at(uint64_t morton, int depth) const;
 
-  bool box_recurs(const map::OcKey& base, int depth, const geom::Aabb& box,
+  /// `morton` is morton48 of `base`.
+  bool box_recurs(const map::OcKey& base, uint64_t morton, int depth, const geom::Aabb& box,
                   bool unknown_occupied) const;
 
   /// Fills leaves_cache_/content_hash_cache_ under lazy_mutex_ (double-
-  /// checked via lazy_ready_). Full builds pre-fill in the constructor
-  /// path, so only incremental snapshots ever pay the merge.
+  /// checked via lazy_ready_). Only a collapsed depth-0 map pre-fills it.
   void ensure_flat() const;
+
+  /// Marks a collapsed depth-0 map of value `value`: no chunks, the root
+  /// leaf answers everything, and the one-record flat form is filled.
+  void set_collapsed(float value);
 
   map::KeyCoder coder_;
   map::OccupancyParams params_;

@@ -11,7 +11,7 @@
 // across threads or use one per thread, both work.
 //
 // SubscriptionMirror applies delta events: a baseline resets it, changed
-// shards replace their canonical leaf runs wholesale, removed shards
+// shards replace their leaf runs wholesale, removed shards
 // drop. Each shard keeps its shard_hash() next to its run, so checking an
 // event's shard digest hashes only the runs that event carried: digest
 // equality proves the mirror holds exactly the published shards, at

@@ -703,7 +703,17 @@ uint64_t MapService::broadcast_deltas(Session& session) {
     for (const world::TileId id : view->tile_ids()) {
       auto tile = view->tile_snapshot(id);
       if (tile == nullptr || tile->empty()) continue;
-      const auto* leaves = &tile->leaves();
+      // A tile lies inside one first-level branch, so its one chunk run is
+      // the tile's leaves in Morton order: no flat canonical copy is built.
+      const std::vector<map::LeafRecord>* leaves = nullptr;
+      int chunks = 0;
+      for (int branch = 0; branch < 8; ++branch) {
+        if (const auto chunk = tile->branch_chunk(branch)) {
+          leaves = &chunk->leaves();
+          ++chunks;
+        }
+      }
+      if (chunks != 1) leaves = &tile->leaves();
       current.emplace(id, PublishedShard{std::move(tile), leaves, std::nullopt});
     }
   } else if (query::QueryService* qs = session.mapper->internal_query_service()) {

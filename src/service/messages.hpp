@@ -10,13 +10,15 @@
 //
 // Delta subscription frames (MsgType::kDeltaEvent) are server-initiated
 // events, request_id 0: each carries the epoch's changed shards as full
-// canonical leaf runs keyed by a uint64 shard key — the first-level
-// branch index (0..7) for snapshot-backed sessions, the TileId for
+// leaf runs keyed by a uint64 shard key — the first-level branch index
+// (0..7) for snapshot-backed sessions, the TileId for
 // tiled-world sessions — plus the keys of shards that vanished and,
 // optionally, the shard digest of everything published (shard_digest()
 // below) so a mirror can prove it holds exactly the published shards
 // every epoch. The digest costs O(changed) on both ends; the canonical
-// whole-map content hash is the on-demand kContentHash RPC.
+// whole-map content hash is the on-demand kContentHash RPC. A run is in
+// Morton (DFS) order, the order the snapshot chunks hold it in; a reader
+// that needs canonical order sorts.
 #pragma once
 
 #include <cstddef>
@@ -268,7 +270,8 @@ struct MetricsReply {
 /// f32 log-odds. A run is a u32 count followed by that many records.
 inline constexpr std::size_t kLeafRecordWireBytes = 11;
 
-/// One changed shard in a delta: its full canonical leaf run.
+/// One changed shard in a delta: its full leaf run, in the order the
+/// publisher holds it (Morton order for snapshot chunks and tiles).
 struct DeltaShard {
   uint64_t shard_key = 0;
   std::vector<map::LeafRecord> leaves;

@@ -279,10 +279,14 @@ std::shared_ptr<const WorldQueryView> TiledWorldMap::capture_view_locked() {
     } else {
       // On-demand load of an evicted tile, off-residency: the snapshot is
       // read-side memory, not a paged-in tile. Full export — a transient
-      // copy has no dirty accumulator history; generation 0 forces the
-      // next resident export to answer full too.
+      // copy has no dirty accumulator history, so generation 0 answers
+      // full (in DFS order, which the build folds without a sort) and
+      // forces the next resident export to answer full too.
       const std::unique_ptr<map::TileBackend> tile_copy = pager_.read_transient(id);
-      snapshot = query::MapSnapshot::build(tile_copy->backend().export_snapshot_data(), version);
+      map::MapSnapshotDelta delta = tile_copy->backend().export_snapshot_delta(0);
+      snapshot = query::MapSnapshot::build(
+          map::MapSnapshotData{std::move(delta.leaves), delta.resolution, delta.params},
+          version);
       view_stats_.tiles_rebuilt++;
       view_stats_.bytes_rebuilt += snapshot->memory_bytes();
       snapshot_cache_[id] = CachedSnapshot{snapshot, version, 0};

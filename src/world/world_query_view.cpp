@@ -67,6 +67,18 @@ SnapshotNodeProbe WorldQueryView::probe(const map::OcKey& key, int depth) const 
 }
 
 map::Occupancy WorldQueryView::classify(const map::OcKey& key, int max_depth) const {
+  if (max_depth >= grid_.tile_depth()) {
+    // A descent that reaches the tile root stays inside one tile from
+    // there on, and above the tile root the tile's own snapshot holds only
+    // inner nodes on the key's path (it cannot prune across tiles), just
+    // as the federated summary does. So the owning snapshot's search ends
+    // on the same node the federated descent below would, with one tile
+    // lookup and one Morton code for the whole descent.
+    const auto it = tiles_.find(grid_.tile_id(key));
+    if (it == tiles_.end()) return map::Occupancy::kUnknown;
+    const auto node = it->second->search(key, max_depth);
+    return node ? params_.classify(node->log_odds) : map::Occupancy::kUnknown;
+  }
   // MapSnapshot::search's descent, over the federated probe. A monolithic
   // tree that pruned equal tiles into a coarse leaf stops earlier with the
   // same value, so the classification is identical either way.
