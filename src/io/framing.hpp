@@ -125,6 +125,12 @@ std::optional<uint64_t> frame_checksum(std::string_view frame);
 /// and naming the path when the temp file cannot be opened, `write` throws
 /// or leaves the stream failed, or the rename fails; the previous file at
 /// `path` is left in place and the temp file is removed.
+///
+/// Durability: neither the temp file nor its directory is fsync'ed. A
+/// commit is atomic against a process crash (a reader sees the old file
+/// or the new one, never a torn one), not against power loss or an OS
+/// crash, after which the rename may be lost or the new file may hold
+/// unwritten blocks.
 void commit_file(const std::string& path, const std::function<void(std::ostream&)>& write,
                  std::string_view label);
 

@@ -693,7 +693,7 @@ void sort_canonical(std::vector<LeafRecord>& leaves) {
             [](const LeafRecord& a, const LeafRecord& b) { return canonical_leaf_less(a, b); });
 }
 
-uint64_t hash_leaf_records(const std::vector<LeafRecord>& records) {
+uint64_t hash_leaf_records(std::span<const LeafRecord> records) {
   uint64_t h = io::kFnv1aOffsetBasis;
   for (const LeafRecord& rec : records) {
     h = io::fnv1a_mix_u64(h, rec.key.packed());

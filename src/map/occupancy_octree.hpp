@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "geom/aabb.hpp"
@@ -337,9 +338,10 @@ inline bool canonical_leaf_less(const LeafRecord& a, const LeafRecord& b) {
 /// function pointer once per comparison.
 void sort_canonical(std::vector<LeafRecord>& leaves);
 
-/// FNV-1a hash over a leaf list (assumed already in canonical sort order);
-/// equal lists hash equal — used for cheap map-content comparison.
-uint64_t hash_leaf_records(const std::vector<LeafRecord>& records);
+/// FNV-1a hash over a leaf list in the order given (canonical order for a
+/// content hash); equal lists hash equal — used for cheap map-content
+/// comparison. Takes a span so a slice of a run hashes in place.
+uint64_t hash_leaf_records(std::span<const LeafRecord> records);
 
 /// Normalizes a leaf list to depth >= 1 by splitting any depth-0 record
 /// (a fully collapsed map) into its 8 first-level octants. The accelerator

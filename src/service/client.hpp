@@ -11,11 +11,14 @@
 // across threads or use one per thread, both work.
 //
 // SubscriptionMirror applies delta events: a baseline resets it, changed
-// shards replace their leaf runs wholesale, removed shards
-// drop. Each shard keeps its shard_hash() next to its run, so checking an
-// event's shard digest hashes only the runs that event carried: digest
-// equality proves the mirror holds exactly the published shards, at
-// O(changed) cost per epoch. content_hash() is the library's canonical
+// shards replace their leaf runs wholesale, removed shards drop. A shard
+// is one depth-13 Morton block, or one tile in a world whose tiles are
+// smaller than that (messages.hpp), but the mirror never reads
+// meaning into shard keys: it only stores runs under them. Each shard
+// keeps its shard_hash() next to its run, so checking an event's shard
+// digest hashes only the blocks that event carried: digest equality
+// proves the mirror holds exactly the published blocks, at O(changed)
+// cost per epoch. content_hash() is the library's canonical
 // whole-map formula (normalize_to_depth1 + hash_leaf_records over the
 // sorted merged run), computed on demand: mirror content_hash() == the
 // session's kContentHash RPC proves the mirror equals the backend — the

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <ranges>
+#include <span>
 #include <sstream>
 #include <utility>
 
+#include "geom/kernels/key_kernels.hpp"
 #include "map/occupancy_octree.hpp"
 #include "query/map_snapshot.hpp"
 #include "query/query_service.hpp"
@@ -60,26 +63,24 @@ struct MapService::Connection {
   std::atomic<bool> alive{true};
 };
 
+/// A subscriber either waits for its baseline or holds exactly the
+/// session's last published state, which every delta is taken against.
 struct MapService::Subscriber {
   uint64_t id = 0;
   std::shared_ptr<Connection> conn;
   bool include_hash = true;
   bool baseline_sent = false;
   uint64_t last_epoch = 0;
-  /// Shard key -> the identity (chunk / tile snapshot) last streamed.
-  /// Holding the shared_ptr pins the object so pointer identity can never
-  /// suffer an allocator ABA across epochs.
-  std::map<uint64_t, std::shared_ptr<const void>> shards;
 };
 
-/// One shard of a session's published state: the identity (chunk / tile
-/// snapshot) it names, pinned like Subscriber::shards, and its
-/// shard_hash() once some subscriber asked for digests — an unchanged
-/// identity reuses it, so digest work is O(changed).
-struct MapService::PublishedShard {
+/// One published unit of a session — a snapshot chunk or a tile — and its
+/// leaf run in Morton order. Holding the identity pins the chunk / tile
+/// snapshot, so pointer identity across epochs is exact (no allocator
+/// ABA) and the run stays valid to diff the next epoch against.
+struct MapService::PublishedUnit {
   std::shared_ptr<const void> identity;
-  const std::vector<map::LeafRecord>* leaves = nullptr;  ///< owned by identity
-  std::optional<uint64_t> hash;
+  /// Aliases the chunk that owns the run, or owns a Morton-sorted copy.
+  std::shared_ptr<const std::vector<map::LeafRecord>> run;
 };
 
 struct MapService::Session {
@@ -94,10 +95,14 @@ struct MapService::Session {
   std::chrono::steady_clock::time_point last_refill{};
   bool bucket_primed = false;
 
-  // Delta-publication state: the epoch counter and the shards of the last
-  // published state (epoch advances only when their identities change).
+  // Delta-publication state: the epoch counter (it advances only when a
+  // unit's identity changes), the units of the last published state and,
+  // while some subscriber wants the digest (`hashed`), the shard_hash() of
+  // every block in it, by block key.
   uint64_t epoch = 0;
-  std::map<uint64_t, PublishedShard> last_shards;
+  std::map<uint64_t, PublishedUnit> last_units;
+  std::map<uint64_t, uint64_t> block_hashes;
+  bool hashed = false;
   std::vector<Subscriber> subscribers;
 };
 
@@ -691,30 +696,85 @@ void MapService::handle_unsubscribe(const std::shared_ptr<Connection>& conn,
   send_reply(*conn, frame.type, frame.request_id, reply);
 }
 
+namespace {
+
+using LeafRun = std::span<const map::LeafRecord>;
+
+/// A run sorted into Morton order (Morton code, then depth).
+std::vector<map::LeafRecord> morton_sorted(std::vector<map::LeafRecord> run) {
+  const auto morton = [](const map::LeafRecord& leaf) {
+    return geom::kernels::morton48(leaf.key[0], leaf.key[1], leaf.key[2]);
+  };
+  std::sort(run.begin(), run.end(), [&](const map::LeafRecord& a, const map::LeafRecord& b) {
+    const uint64_t ma = morton(a);
+    const uint64_t mb = morton(b);
+    return ma != mb ? ma < mb : a.depth < b.depth;
+  });
+  return run;
+}
+
+/// Diffs one unit's previous run against its new run, depth-`depth` block
+/// by block: new blocks and blocks whose leaves differ go to `changed`,
+/// the keys of vanished blocks to `removed`. Both runs are Morton-ordered,
+/// so both block sequences ascend and one merge pass pairs them.
+void diff_blocks(LeafRun before, LeafRun after, int depth, std::vector<BlockSlice>& changed,
+                 std::vector<uint64_t>& removed) {
+  std::vector<BlockSlice> old_blocks;
+  for_each_block(before, depth, [&](uint64_t key, LeafRun leaves) {
+    old_blocks.push_back(BlockSlice{key, leaves});
+  });
+  std::size_t i = 0;
+  for_each_block(after, depth, [&](uint64_t key, LeafRun leaves) {
+    while (i < old_blocks.size() && old_blocks[i].key < key) removed.push_back(old_blocks[i++].key);
+    if (i < old_blocks.size() && old_blocks[i].key == key) {
+      const bool same = std::ranges::equal(old_blocks[i++].leaves, leaves);
+      if (same) return;
+    }
+    changed.push_back(BlockSlice{key, leaves});
+  });
+  for (; i < old_blocks.size(); ++i) removed.push_back(old_blocks[i].key);
+}
+
+}  // namespace
+
 uint64_t MapService::broadcast_deltas(Session& session) {
   if (session.subscribers.empty()) return session.epoch;
   const uint64_t t0 = delta_publish_ns_ != nullptr ? now_ns() : 0;
 
-  // A shard's current identity pins the chunk / tile snapshot it names,
-  // so pointer identity across epochs is exact (no allocator ABA).
-  std::map<uint64_t, PublishedShard> current;
+  // The published units: snapshot chunks by branch index, or tiles by
+  // TileId. Either way the run keeps global keys, and a shard never spans
+  // units, so block keys never collide across units: a tile smaller than
+  // a depth-kBlockDepth block is sharded by its own root instead.
+  std::map<uint64_t, PublishedUnit> current;
+  int depth = kBlockDepth;
   if (world::TiledWorldMap* world = session.mapper->internal_world()) {
+    depth = std::max(kBlockDepth, world->grid().tile_depth());
     const auto view = world->capture_view();
     for (const world::TileId id : view->tile_ids()) {
       auto tile = view->tile_snapshot(id);
       if (tile == nullptr || tile->empty()) continue;
-      // A tile lies inside one first-level branch, so its one chunk run is
-      // the tile's leaves in Morton order: no flat canonical copy is built.
-      const std::vector<map::LeafRecord>* leaves = nullptr;
+      const auto last = session.last_units.find(id);
+      if (last != session.last_units.end() && last->second.identity == tile) {
+        current.emplace(id, last->second);
+        continue;
+      }
+      // A tile of tile_shift < kTreeDepth lies inside one first-level
+      // branch, so its one chunk run is the tile's leaves in Morton order:
+      // no flat copy is built. The one tile of tile_shift == kTreeDepth
+      // spans every branch; its leaves are Morton-sorted here, a copy and
+      // sort of the whole map each epoch that changes it.
+      std::shared_ptr<const std::vector<map::LeafRecord>> run;
       int chunks = 0;
       for (int branch = 0; branch < 8; ++branch) {
         if (const auto chunk = tile->branch_chunk(branch)) {
-          leaves = &chunk->leaves();
+          run = std::shared_ptr<const std::vector<map::LeafRecord>>(chunk, &chunk->leaves());
           ++chunks;
         }
       }
-      if (chunks != 1) leaves = &tile->leaves();
-      current.emplace(id, PublishedShard{std::move(tile), leaves, std::nullopt});
+      if (chunks != 1) {
+        run = std::make_shared<const std::vector<map::LeafRecord>>(morton_sorted(tile->leaves()));
+      }
+      current.emplace(id, PublishedUnit{std::move(tile), std::move(run)});
     }
   } else if (query::QueryService* qs = session.mapper->internal_query_service()) {
     const auto snapshot = qs->snapshot();
@@ -722,64 +782,90 @@ uint64_t MapService::broadcast_deltas(Session& session) {
       for (int branch = 0; branch < 8; ++branch) {
         auto chunk = snapshot->branch_chunk(branch);
         if (chunk == nullptr || chunk->leaves().empty()) continue;
-        const auto* leaves = &chunk->leaves();
+        std::shared_ptr<const std::vector<map::LeafRecord>> run(chunk, &chunk->leaves());
         current.emplace(static_cast<uint64_t>(branch),
-                        PublishedShard{std::move(chunk), leaves, std::nullopt});
+                        PublishedUnit{std::move(chunk), std::move(run)});
       }
     }
   }
 
-  // The epoch advances only when the published identity-state changed.
-  bool state_changed = current.size() != session.last_shards.size();
-  for (auto& [key, shard] : current) {
-    const auto it = session.last_shards.find(key);
-    if (it != session.last_shards.end() && it->second.identity == shard.identity) {
-      shard.hash = it->second.hash;
+  // Only a unit whose identity changed is diffed, block by block, against
+  // the run it replaces (pinned in last_units); the epoch advances only
+  // when some identity changed.
+  std::vector<BlockSlice> changed;
+  std::vector<uint64_t> removed;
+  bool state_changed = false;
+  for (const auto& [key, unit] : current) {
+    const auto last = session.last_units.find(key);
+    if (last == session.last_units.end()) {
+      diff_blocks({}, *unit.run, depth, changed, removed);
+    } else if (last->second.identity != unit.identity) {
+      diff_blocks(*last->second.run, *unit.run, depth, changed, removed);
     } else {
-      state_changed = true;
+      continue;
     }
+    state_changed = true;
+  }
+  for (const auto& [key, unit] : session.last_units) {
+    if (current.contains(key)) continue;
+    diff_blocks(*unit.run, {}, depth, changed, removed);
+    state_changed = true;
   }
   if (state_changed) ++session.epoch;
 
-  // The shard digest hashes only runs whose identity is new since the
-  // last publication that computed one.
+  // While some subscriber wants the digest, the block table follows the
+  // published state, so only changed blocks are hashed and the digest
+  // costs O(changed) hashing. Without one nothing is hashed; the first
+  // digest after such a stretch hashes every published block once.
   const bool want_digest =
       std::any_of(session.subscribers.begin(), session.subscribers.end(),
                   [](const Subscriber& s) { return s.include_hash; });
   uint64_t digest = 0;
-  if (want_digest) {
-    std::vector<ShardHash> hashes;
-    hashes.reserve(current.size());
-    for (auto& [key, shard] : current) {
-      if (!shard.hash) shard.hash = shard_hash(*shard.leaves);
-      hashes.push_back(ShardHash{key, *shard.hash});
+  if (!want_digest) {
+    session.block_hashes.clear();
+    session.hashed = false;
+  } else {
+    if (session.hashed) {
+      for (const uint64_t block : removed) session.block_hashes.erase(block);
+      for (const BlockSlice& block : changed) {
+        session.block_hashes[block.key] = shard_hash(block.leaves);
+      }
+    } else {
+      for (const auto& [key, unit] : current) {
+        for_each_block(*unit.run, depth, [&](uint64_t block, LeafRun leaves) {
+          session.block_hashes[block] = shard_hash(leaves);
+        });
+      }
+      session.hashed = true;
     }
+    std::vector<ShardHash> hashes;
+    hashes.reserve(session.block_hashes.size());
+    for (const auto& [block, hash] : session.block_hashes) hashes.push_back(ShardHash{block, hash});
     digest = shard_digest(hashes);
   }
 
+  std::vector<BlockSlice> every_block;  // a baseline's blocks, built on demand
   int64_t max_lag = 0;
   for (auto it = session.subscribers.begin(); it != session.subscribers.end();) {
     Subscriber& sub = *it;
+    const bool baseline = !sub.baseline_sent;
+    if (!baseline && !state_changed) {
+      ++it;
+      continue;  // this subscriber already holds this state
+    }
+    if (baseline && every_block.empty()) {
+      for (const auto& [key, unit] : current) {
+        for_each_block(*unit.run, depth, [&](uint64_t block, LeafRun leaves) {
+          every_block.push_back(BlockSlice{block, leaves});
+        });
+      }
+    }
     DeltaEvent event;
     event.session_id = session.id;
     event.subscription_id = sub.id;
     event.epoch = session.epoch;
-    event.baseline = sub.baseline_sent ? 0 : 1;
-    if (event.baseline == 0) {
-      for (const auto& [key, identity] : sub.shards) {
-        if (current.find(key) == current.end()) event.removed_shards.push_back(key);
-      }
-    }
-    for (const auto& [key, shard] : current) {
-      const auto prev = sub.shards.find(key);
-      if (event.baseline != 0 || prev == sub.shards.end() || prev->second != shard.identity) {
-        event.changed_shards.push_back(DeltaShard{key, *shard.leaves});
-      }
-    }
-    if (event.baseline == 0 && event.changed_shards.empty() && event.removed_shards.empty()) {
-      ++it;
-      continue;  // this subscriber is already converged on this state
-    }
+    event.baseline = baseline ? 1 : 0;
+    if (!baseline) event.removed_shards = removed;
     if (sub.include_hash) {
       event.has_digest = 1;
       event.shard_digest = digest;
@@ -790,7 +876,7 @@ uint64_t MapService::broadcast_deltas(Session& session) {
     frame.type = static_cast<uint16_t>(MsgType::kDeltaEvent);
     frame.request_id = 0;
     WireWriter w;
-    event.encode(w);
+    encode_delta_event(w, event, baseline ? every_block : changed);
     frame.payload = w.take();
     const std::size_t frame_bytes = frame.payload.size() + kFrameHeaderBytes + 8;
     if (!send_frame_to(*sub.conn, frame)) {
@@ -804,11 +890,9 @@ uint64_t MapService::broadcast_deltas(Session& session) {
     delta_bytes_->add(frame_bytes);
     sub.baseline_sent = true;
     sub.last_epoch = session.epoch;
-    sub.shards.clear();
-    for (const auto& [key, shard] : current) sub.shards.emplace(key, shard.identity);
     ++it;
   }
-  session.last_shards = std::move(current);
+  session.last_units = std::move(current);
 
   if (subscription_lag_ != nullptr) subscription_lag_->set(max_lag);
   if (delta_publish_ns_ != nullptr) delta_publish_ns_->record(now_ns() - t0);

@@ -9,7 +9,7 @@ namespace {
 /// Leaf runs cross the wire as (3 x u16 key, u8 depth, f32 log-odds)
 /// records — the float's exact bit pattern, so content hashes computed
 /// from a mirror match the publisher's bit for bit.
-void encode_leaves(WireWriter& w, const std::vector<map::LeafRecord>& leaves) {
+void encode_leaves(WireWriter& w, std::span<const map::LeafRecord> leaves) {
   w.u32(static_cast<uint32_t>(leaves.size()));
   for (const map::LeafRecord& leaf : leaves) {
     w.u16(leaf.key[0]);
@@ -379,9 +379,7 @@ void MetricsReply::decode(WireReader& r) {
 
 // ---- DeltaEvent ----------------------------------------------------------
 
-uint64_t shard_hash(const std::vector<map::LeafRecord>& run) {
-  return map::hash_leaf_records(run);
-}
+uint64_t shard_hash(std::span<const map::LeafRecord> run) { return map::hash_leaf_records(run); }
 
 uint64_t shard_digest(std::span<const ShardHash> shards) {
   uint64_t h = io::kFnv1aOffsetBasis;
@@ -393,18 +391,28 @@ uint64_t shard_digest(std::span<const ShardHash> shards) {
 }
 
 void DeltaEvent::encode(WireWriter& w) const {
-  w.u64(session_id);
-  w.u64(subscription_id);
-  w.u64(epoch);
-  w.u8(baseline);
-  w.u8(has_digest);
-  w.u64(shard_digest);
-  w.u32(static_cast<uint32_t>(removed_shards.size()));
-  for (uint64_t key : removed_shards) w.u64(key);
-  w.u32(static_cast<uint32_t>(changed_shards.size()));
+  std::vector<BlockSlice> changed;
+  changed.reserve(changed_shards.size());
   for (const DeltaShard& shard : changed_shards) {
-    w.u64(shard.shard_key);
-    encode_leaves(w, shard.leaves);
+    changed.push_back(BlockSlice{shard.shard_key, shard.leaves});
+  }
+  encode_delta_event(w, *this, changed);
+}
+
+void encode_delta_event(WireWriter& w, const DeltaEvent& event,
+                        std::span<const BlockSlice> changed) {
+  w.u64(event.session_id);
+  w.u64(event.subscription_id);
+  w.u64(event.epoch);
+  w.u8(event.baseline);
+  w.u8(event.has_digest);
+  w.u64(event.shard_digest);
+  w.u32(static_cast<uint32_t>(event.removed_shards.size()));
+  for (uint64_t key : event.removed_shards) w.u64(key);
+  w.u32(static_cast<uint32_t>(changed.size()));
+  for (const BlockSlice& block : changed) {
+    w.u64(block.key);
+    encode_leaves(w, block.leaves);
   }
 }
 

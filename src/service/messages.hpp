@@ -9,13 +9,14 @@
 // nonzero retry hint) without tearing down the connection.
 //
 // Delta subscription frames (MsgType::kDeltaEvent) are server-initiated
-// events, request_id 0: each carries the epoch's changed shards as full
-// leaf runs keyed by a uint64 shard key — the first-level branch index
-// (0..7) for snapshot-backed sessions, the TileId for
-// tiled-world sessions — plus the keys of shards that vanished and,
-// optionally, the shard digest of everything published (shard_digest()
-// below) so a mirror can prove it holds exactly the published shards
-// every epoch. The digest costs O(changed) on both ends; the canonical
+// events, request_id 0. A shard is one depth-kBlockDepth Morton block
+// (8^3 voxels; one tile in a world of smaller tiles), keyed by
+// block_key(): each event carries the leaf runs of the blocks whose
+// leaves changed since the last published epoch, the keys of blocks that
+// vanished and, optionally, the shard digest of every
+// published block (shard_digest() below) so a mirror can prove it holds
+// exactly the published blocks every epoch. A baseline carries every
+// block. The digest costs O(changed) on both ends; the canonical
 // whole-map content hash is the on-demand kContentHash RPC. A run is in
 // Morton (DFS) order, the order the snapshot chunks hold it in; a reader
 // that needs canonical order sorts.
@@ -25,8 +26,11 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "geom/kernels/key_kernels.hpp"
+#include "map/ockey.hpp"
 #include "map/occupancy_octree.hpp"
 #include "omu/config.hpp"
 #include "omu/status.hpp"
@@ -234,7 +238,9 @@ struct SaveRequest {
 struct SubscribeRequest {
   uint64_t session_id = 0;
   /// Ask the publisher to attach the shard digest to every delta (costs
-  /// hashing each changed run once, on both ends).
+  /// hashing each changed block once, on both ends). A publisher with no
+  /// digest subscriber hashes nothing; the first one to ask makes it hash
+  /// every published block once.
   uint8_t include_hash = 1;
   void encode(WireWriter& w) const;
   void decode(WireReader& r);
@@ -270,22 +276,64 @@ struct MetricsReply {
 /// f32 log-odds. A run is a u32 count followed by that many records.
 inline constexpr std::size_t kLeafRecordWireBytes = 11;
 
-/// One changed shard in a delta: its full leaf run, in the order the
-/// publisher holds it (Morton order for snapshot chunks and tiles).
+/// Depth of the Morton block that is one subscription shard: a depth-13
+/// block is 8^3 voxels, the leaf size of an OpenVDB grid. The one
+/// exception is a world whose tiles are smaller than a block (tile_shift
+/// below kTreeDepth - kBlockDepth): there a shard is one tile root, at
+/// the grid's tile depth, so a shard never spans tiles.
+inline constexpr int kBlockDepth = 13;
+
+/// The shard key of the depth-`depth` block holding `key`: its Morton code
+/// with the in-block bits dropped. A leaf coarser than `depth` belongs to
+/// the block of its own (aligned) key.
+constexpr uint64_t block_key(const map::OcKey& key, int depth = kBlockDepth) {
+  return geom::kernels::morton48(key[0], key[1], key[2]) >> (3 * (map::kTreeDepth - depth));
+}
+
+/// Calls fn(block_key, slice) once per depth-`depth` block of a
+/// Morton-ordered run, in ascending key order. Block keys never decrease
+/// along such a run, so each block is one contiguous slice and the split
+/// is one linear pass.
+template <typename Fn>
+void for_each_block(std::span<const map::LeafRecord> run, int depth, Fn&& fn) {
+  std::size_t begin = 0;
+  while (begin < run.size()) {
+    const uint64_t key = block_key(run[begin].key, depth);
+    std::size_t end = begin + 1;
+    while (end < run.size() && block_key(run[end].key, depth) == key) ++end;
+    fn(key, run.subspan(begin, end - begin));
+    begin = end;
+  }
+}
+
+template <typename Fn>
+void for_each_block(std::span<const map::LeafRecord> run, Fn&& fn) {
+  for_each_block(run, kBlockDepth, std::forward<Fn>(fn));
+}
+
+/// One changed shard in a delta: a block key and the block's leaf run, in
+/// Morton order.
 struct DeltaShard {
   uint64_t shard_key = 0;
   std::vector<map::LeafRecord> leaves;
 };
 
-/// A published shard's key and its shard_hash().
+/// A block of a published run, borrowed rather than copied: what the
+/// publisher encodes as a DeltaShard (see encode_delta_event).
+struct BlockSlice {
+  uint64_t key = 0;
+  std::span<const map::LeafRecord> leaves;
+};
+
+/// A published block's key and its shard_hash().
 struct ShardHash {
   uint64_t shard_key = 0;
   uint64_t hash = 0;
 };
 
 /// A shard's hash: map::hash_leaf_records over the exact run a delta
-/// carries for it.
-uint64_t shard_hash(const std::vector<map::LeafRecord>& run);
+/// carries for it (hashed in place, so a block slice needs no copy).
+uint64_t shard_hash(std::span<const map::LeafRecord> run);
 
 /// The subscription convergence digest: FNV-1a (io::fnv1a_mix_u64) over
 /// each (shard_key, hash) pair, in ascending shard-key order, across every
@@ -308,5 +356,11 @@ struct DeltaEvent {
   void encode(WireWriter& w) const;
   void decode(WireReader& r);
 };
+
+/// Encodes `event` with `changed` standing in for its changed_shards (which
+/// are ignored): the same bytes DeltaEvent::encode writes when
+/// changed_shards holds copies of those slices.
+void encode_delta_event(WireWriter& w, const DeltaEvent& event,
+                        std::span<const BlockSlice> changed);
 
 }  // namespace omu::service

@@ -8,6 +8,7 @@
 
 #include <string>
 
+#include "map/ockey.hpp"
 #include "obs/prom_text.hpp"
 #include "service/client.hpp"
 #include "service_test_util.hpp"
@@ -121,8 +122,9 @@ TEST(ServiceSubscription, WorldMirrorSurvivesForcedEvictionAndReload) {
   SubscriptionMirror mirror;
   ASSERT_TRUE(client.subscribe(*session, &mirror).ok());
 
+  const auto scans = make_sweep_scans(3, 24, 200);
   int scan_index = 0;
-  for (const auto& scan : make_sweep_scans(3, 24, 200)) {
+  for (const auto& scan : scans) {
     ASSERT_TRUE(client.insert_retrying(*session, scan.origin, scan.xyz, 100).ok());
     auto epoch = client.flush(*session);
     ASSERT_TRUE(epoch.ok());
@@ -137,7 +139,17 @@ TEST(ServiceSubscription, WorldMirrorSurvivesForcedEvictionAndReload) {
   auto server_hash = client.content_hash(*session);
   ASSERT_TRUE(server_hash.ok());
   EXPECT_EQ(mirror.content_hash(), *server_hash);
-  EXPECT_GT(mirror.shard_count(), 1u) << "sweep never left its first tile";
+
+  // The mirror equals the server's map, so the server shows what the mirror
+  // holds: the sweep's two turning points, in different tiles, are mapped.
+  const omu::Vec3 west = scans.front().origin;
+  const omu::Vec3 east = scans[scans.size() / 2].origin;
+  const map::KeyCoder coder(spec.resolution);
+  ASSERT_NE(*coder.axis_key(west.x) >> spec.tile_shift, *coder.axis_key(east.x) >> spec.tile_shift);
+  auto seen = client.query(*session, {west, east});
+  ASSERT_TRUE(seen.ok());
+  EXPECT_NE((*seen)[0], omu::Occupancy::kUnknown) << "sweep never left its first tile";
+  EXPECT_NE((*seen)[1], omu::Occupancy::kUnknown) << "sweep never left its first tile";
 }
 
 TEST(ServiceSubscription, SecondSubscriberAndUnsubscribe) {
