@@ -96,6 +96,9 @@ struct WorldPagingStats {
   uint64_t evictions = 0;
   uint64_t reloads = 0;
   uint64_t tile_writes = 0;
+  /// Tile files read without paging the tile in (view capture and exports
+  /// of evicted tiles).
+  uint64_t transient_reads = 0;
 };
 
 /// Cheap cumulative session counters (see Mapper::stats), grouped by the

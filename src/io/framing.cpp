@@ -57,8 +57,39 @@ std::string read_frame(std::istream& is, std::string_view magic, uint64_t max_pa
   return read_frame_body(is, max_payload_bytes, label);
 }
 
+uint64_t seal_frame(std::string& frame, std::string_view magic) {
+  assert(magic.size() == kMagicBytes && frame.size() >= kFrameHeaderBytes);
+  const uint64_t payload_size = frame.size() - kFrameHeaderBytes;
+  const uint64_t checksum = fnv1a(frame.data() + kFrameHeaderBytes, payload_size);
+  std::memcpy(frame.data(), magic.data(), kMagicBytes);
+  std::memcpy(frame.data() + kMagicBytes, &payload_size, sizeof(payload_size));
+  frame.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+  return checksum;
+}
+
+std::string_view frame_payload(std::string_view frame, std::string_view magic,
+                               uint64_t max_payload_bytes, std::string_view label) {
+  if (frame.size() < kMagicBytes || frame.substr(0, kMagicBytes) != magic) fail(label, "bad magic");
+  if (frame.size() < kFrameHeaderBytes) throw_truncated(label);
+  uint64_t payload_size = 0;
+  std::memcpy(&payload_size, frame.data() + kMagicBytes, sizeof(payload_size));
+  if (payload_size > max_payload_bytes) fail(label, "implausible payload size (corrupt stream)");
+  const std::size_t body_bytes = frame.size() - kFrameHeaderBytes;
+  if (body_bytes < payload_size + kFrameTrailerBytes) throw_truncated(label);
+  if (body_bytes > payload_size + kFrameTrailerBytes) {
+    fail(label, "trailing bytes after frame (corrupt stream)");
+  }
+  const std::string_view payload = frame.substr(kFrameHeaderBytes, payload_size);
+  uint64_t checksum = 0;
+  std::memcpy(&checksum, frame.data() + kFrameHeaderBytes + payload_size, sizeof(checksum));
+  if (checksum != fnv1a(payload.data(), payload.size())) {
+    fail(label, "checksum mismatch (corrupt stream)");
+  }
+  return payload;
+}
+
 std::optional<uint64_t> frame_checksum(std::string_view frame) {
-  constexpr std::size_t kOverhead = kMagicBytes + 2 * sizeof(uint64_t);
+  constexpr std::size_t kOverhead = kFrameHeaderBytes + kFrameTrailerBytes;
   if (frame.size() < kOverhead) return std::nullopt;
   uint64_t payload_size = 0;
   std::memcpy(&payload_size, frame.data() + kMagicBytes, sizeof(payload_size));
@@ -66,6 +97,16 @@ std::optional<uint64_t> frame_checksum(std::string_view frame) {
   uint64_t checksum = 0;
   std::memcpy(&checksum, frame.data() + frame.size() - sizeof(checksum), sizeof(checksum));
   return checksum;
+}
+
+bool read_whole_file(const std::string& path, std::string& bytes) {
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
+  const std::streamoff size = is.tellg();
+  if (!is || size < 0) return false;
+  bytes.resize(static_cast<std::size_t>(size));
+  is.seekg(0);
+  is.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return static_cast<bool>(is);
 }
 
 void commit_file(const std::string& path, const std::function<void(std::ostream&)>& write,

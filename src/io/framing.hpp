@@ -20,7 +20,10 @@
 //    ("OctreeIo: truncated stream") — never a crash, never silently
 //    different content. The payload is read in bounded chunks, so an
 //    inflated length field fails on the real stream length instead of
-//    committing a giant allocation up front.
+//    committing a giant allocation up front. A frame can also be built
+//    and read in one memory buffer (seal_frame, frame_payload) with the
+//    same layout and the same failure texts; that is how octree tiles
+//    page without a stream copy.
 //
 //  * Atomic file commit: write `<path>.tmp` through a callback, then
 //    rename it over `<path>`. A failure throws (naming the path) and
@@ -111,12 +114,35 @@ std::string read_frame_body(std::istream& is, uint64_t max_payload_bytes, std::s
 std::string read_frame(std::istream& is, std::string_view magic, uint64_t max_payload_bytes,
                        std::string_view label);
 
+/// Bytes a frame adds around its payload: magic and length ahead of it,
+/// the checksum after it.
+inline constexpr std::size_t kFrameHeaderBytes = kMagicBytes + sizeof(uint64_t);
+inline constexpr std::size_t kFrameTrailerBytes = sizeof(uint64_t);
+
+/// Completes a frame built in memory, with no stream and no copy: `frame`
+/// holds kFrameHeaderBytes of room followed by the payload. Fills in the
+/// magic and the length, appends the checksum and returns it.
+uint64_t seal_frame(std::string& frame, std::string_view magic);
+
+/// The verified payload of one whole frame held in memory — the
+/// in-memory read_frame(), failing with the same texts, plus
+/// "<label>: trailing bytes after frame (corrupt stream)" when `frame` runs
+/// on past the checksum. The view points into `frame`.
+std::string_view frame_payload(std::string_view frame, std::string_view magic,
+                               uint64_t max_payload_bytes, std::string_view label);
+
 /// The checksum field of one whole frame held in memory (magic | length |
 /// payload | checksum), read without hashing the payload again. Returns
 /// nullopt when `frame` is not exactly one frame long (a legacy unframed
 /// file, or a truncated one). It does not verify the checksum against the
-/// payload; that is read_frame_body()'s job on the actual read.
+/// payload; that is read_frame_body()'s or frame_payload()'s job.
 std::optional<uint64_t> frame_checksum(std::string_view frame);
+
+// ---- Whole files -------------------------------------------------------------
+
+/// Reads the file at `path` over `bytes` in one call (reusing its
+/// capacity). Returns false when the file cannot be opened or read.
+bool read_whole_file(const std::string& path, std::string& bytes);
 
 // ---- Atomic commit -----------------------------------------------------------
 

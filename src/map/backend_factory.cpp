@@ -19,7 +19,9 @@ class OctreeTileBackend final : public TileBackend {
   MapBackend& backend() override { return adapter_; }
   const MapBackend& backend() const override { return adapter_; }
   std::size_t memory_bytes() const override { return tree_.memory_bytes(); }
-  void save(std::ostream& os) const override { OctreeIo::write(tree_, os); }
+  OctreeIo::FrameInfo save(std::string& frame) const override {
+    return OctreeIo::encode(tree_, frame);
+  }
 
  private:
   OccupancyOctree tree_;
@@ -46,13 +48,14 @@ std::unique_ptr<TileBackend> OctreeTileBackendFactory::create() const {
   return std::make_unique<OctreeTileBackend>(resolution_, params_);
 }
 
-std::unique_ptr<TileBackend> OctreeTileBackendFactory::load(std::istream& is) const {
-  OccupancyOctree tree = OctreeIo::read(is);
+LoadedTile OctreeTileBackendFactory::load(std::string_view frame) const {
+  OctreeIo::Decoded decoded = OctreeIo::decode(frame);
+  const OccupancyOctree& tree = decoded.tree;
   if (tree.resolution() != resolution_ || !params_match(tree.params(), params_)) {
     throw std::runtime_error(
         "OctreeTileBackendFactory: tile resolution/params do not match this world");
   }
-  return std::make_unique<OctreeTileBackend>(std::move(tree));
+  return LoadedTile{std::make_unique<OctreeTileBackend>(std::move(decoded.tree)), decoded.info};
 }
 
 }  // namespace omu::map

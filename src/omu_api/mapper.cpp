@@ -202,6 +202,7 @@ struct Mapper::Impl {
       sync("paging.evictions", p.evictions);
       sync("paging.reloads", p.reloads);
       sync("paging.tile_writes", p.tile_writes);
+      sync("paging.transient_reads", p.transient_reads);
     }
     if (hybrid) {
       const localgrid::AbsorberStats a = hybrid->absorber_stats();
@@ -577,6 +578,7 @@ Result<MapperStats> Mapper::stats() const {
     s.paging.evictions = p.evictions;
     s.paging.reloads = p.reloads;
     s.paging.tile_writes = p.tile_writes;
+    s.paging.transient_reads = p.transient_reads;
   }
   if (impl_->hybrid) {
     const localgrid::AbsorberStats a = impl_->hybrid->absorber_stats();

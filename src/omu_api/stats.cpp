@@ -44,7 +44,7 @@ std::ostream& operator<<(std::ostream& os, const WorldPagingStats& s) {
     os << static_cast<double>(s.resident_byte_budget) / 1024.0 << " KiB";
   }
   os << "), " << s.evictions << " evictions, " << s.reloads << " reloads, " << s.tile_writes
-     << " tile writes";
+     << " tile writes, " << s.transient_reads << " transient reads";
   return os;
 }
 

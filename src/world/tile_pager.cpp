@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "io/framing.hpp"
@@ -12,21 +10,6 @@
 #include "world/world_manifest.hpp"
 
 namespace omu::world {
-
-namespace {
-
-/// Canonical tile content signature: normalized to the depth floor shared
-/// by every backend flavour, so save-time and load-time hashes agree for
-/// any TileBackend implementation.
-TilePager::SavedInfo tile_signature(const map::MapBackend& backend) {
-  const std::vector<map::LeafRecord> leaves = backend.leaves_sorted();
-  TilePager::SavedInfo info;
-  info.leaf_count = leaves.size();
-  info.content_hash = map::hash_leaf_records(map::normalize_to_depth1(leaves));
-  return info;
-}
-
-}  // namespace
 
 TilePager::TilePager(TilePagerConfig config, const map::TileBackendFactory& factory,
                      TileGrid grid)
@@ -57,58 +40,43 @@ std::string TilePager::tile_file(TileId id) const {
   return WorldManifest::tile_path(cfg_.directory, grid_, unpack_tile(id));
 }
 
-std::unique_ptr<map::TileBackend> TilePager::load_file(TileId id, Slot& slot) {
+std::unique_ptr<map::TileBackend> TilePager::load_file(TileId id, const Slot& slot) {
   const std::string name = grid_.tile_name(unpack_tile(id));
   const std::string path = tile_file(id);
-  std::ifstream is(path, std::ios::binary | std::ios::ate);
-  if (!is) {
-    throw std::runtime_error("TilePager: cannot open tile " + name + " (" + path + ")");
+  if (!io::read_whole_file(path, frame_buf_)) {
+    throw std::runtime_error("TilePager: cannot read tile " + name + " (" + path + ")");
   }
-  std::string bytes(static_cast<std::size_t>(is.tellg()), '\0');
-  is.seekg(0);
-  is.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (!is) throw std::runtime_error("TilePager: cannot read tile " + name + " (" + path + ")");
-  const std::optional<uint64_t> checksum = io::frame_checksum(bytes);
-  std::unique_ptr<map::TileBackend> handle;
+  map::LoadedTile loaded;
   try {
-    std::istringstream frame(std::move(bytes), std::ios::binary);
-    handle = factory_->load(frame);
+    loaded = factory_->load(frame_buf_);
   } catch (const std::runtime_error& e) {
     throw std::runtime_error("TilePager: tile " + name + " is corrupt: " + e.what());
   }
-  // The frame reader has verified the payload against `checksum`; a file
-  // this session wrote must also carry the checksum recorded then.
-  if (slot.file_checksum.has_value()) {
-    if (checksum != slot.file_checksum) {
-      throw std::runtime_error("TilePager: tile " + name +
-                               " is not the file last written for it (stale or swapped file)");
-    }
-    return handle;
-  }
-  const SavedInfo sig = tile_signature(handle->backend());
-  if (sig.content_hash != slot.saved.content_hash || sig.leaf_count != slot.saved.leaf_count) {
+  // The decoder has verified the payload against the frame's checksum; the
+  // frame must also be the one recorded for the tile.
+  if (loaded.info.checksum != slot.saved.checksum) {
     throw std::runtime_error("TilePager: tile " + name +
-                             " content does not match the manifest (stale or swapped file)");
+                             " is not the file last written for it (stale or swapped file)");
   }
-  slot.file_checksum = checksum;
-  return handle;
+  if (loaded.info.leaf_count != slot.saved.leaf_count) {
+    throw std::runtime_error("TilePager: tile " + name +
+                             " leaf count does not match the one recorded for it");
+  }
+  return std::move(loaded.tile);
 }
 
 void TilePager::write_file(TileId id, Slot& slot) {
   slot.handle->backend().flush();
-  std::ostringstream frame(std::ios::binary);
-  slot.handle->save(frame);
-  const std::string bytes = std::move(frame).str();
+  const map::OctreeIo::FrameInfo info = slot.handle->save(frame_buf_);
   // Temp file + rename: an interrupted write must never clobber the only
   // on-disk copy of an (evicted) tile with a truncated stream.
   io::commit_file(
       tile_file(id),
-      [&bytes](std::ostream& os) {
-        os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      [this](std::ostream& os) {
+        os.write(frame_buf_.data(), static_cast<std::streamsize>(frame_buf_.size()));
       },
       "TilePager");
-  slot.file_checksum = io::frame_checksum(bytes);
-  slot.saved = tile_signature(slot.handle->backend());
+  slot.saved = info;
   slot.dirty = false;
   slot.on_disk = true;
   counters_.tile_writes++;

@@ -18,16 +18,17 @@
 // and each of them pays a write and a reload within the same batch. All
 // pins expire when the batch's PinnedBatch scope ends, also by exception.
 //
-// Persistence integrity: every tile write records the tile's canonical
-// content hash and leaf count (the manifest's per-tile entries) and the
-// FNV-1a checksum of the file's frame. A read back — paging or transient
-// — of a tile written in this session requires the checksum the frame
-// reader verified to equal the recorded one: a corrupt, truncated, stale
-// or swapped tile file fails with a clean std::runtime_error naming the
-// tile, never a silently different map. A tile registered from a manifest
-// (open()) has no recorded checksum; its first read back recomputes the
-// canonical content hash against the manifest entry instead and then
-// records the checksum for later reads.
+// Persistence integrity: a tile file has one identity, the FNV-1a
+// checksum of its frame, plus the leaf count its node stream holds. Every
+// tile write records both, and the world manifest stores them per tile.
+// Every read back — a reload, a transient read, or the first touch of a
+// tile open() registered from a manifest — decodes the file (which
+// verifies the frame's checksum against its payload) and then requires
+// the checksum and leaf count to equal the recorded ones: a corrupt,
+// truncated, stale or swapped tile file fails with a clean
+// std::runtime_error naming the tile, never a silently different map.
+// Writing and reading a tile is one linear pass over one buffer; no
+// canonical re-hash of the tile's leaves is needed to identify it.
 //
 // Not internally synchronized: the owning TiledWorldMap serializes all
 // access under its own mutex (immutable WorldQueryViews are the
@@ -36,7 +37,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -103,13 +103,10 @@ class TilePager {
     TilePager& pager_;
   };
 
-  /// Recorded at each tile write and reproduced in the world manifest; the
-  /// first read back of a tile registered from a manifest is verified
-  /// against it.
-  struct SavedInfo {
-    uint64_t content_hash = 0;
-    uint64_t leaf_count = 0;
-  };
+  /// The identity of a tile file (frame checksum and leaf count), recorded
+  /// at each tile write and reproduced in the world manifest; every read
+  /// back of the file is verified against it.
+  using SavedInfo = map::OctreeIo::FrameInfo;
 
   TilePager(TilePagerConfig config, const map::TileBackendFactory& factory, TileGrid grid);
 
@@ -165,8 +162,9 @@ class TilePager {
   void write_back_all();
 
   /// Registers a tile known to live on disk (reopening a world from its
-  /// manifest). Throws std::runtime_error naming the tile if the file is
-  /// missing.
+  /// manifest) with the identity its manifest entry records; its reads
+  /// are verified against `info` like any reload. Throws
+  /// std::runtime_error naming the tile if the file is missing.
   void register_on_disk(TileId id, const SavedInfo& info);
 
   /// True when a tile file exists for the tile (its saved_info describes
@@ -210,18 +208,14 @@ class TilePager {
     uint64_t version = 1;    ///< content version (mark_dirty bumps)
     uint64_t pinned_in = 0;  ///< batch that pinned it; pinned while that batch is open
     std::size_t bytes = 0;   ///< counted toward resident_bytes
-    SavedInfo saved{};       ///< as of the last write
-    /// Frame checksum of the tile file, recorded when this session wrote
-    /// or first verified it. Nullopt until then, or when the tile's save()
-    /// is not one v2 frame: such reads fall back to the content hash.
-    std::optional<uint64_t> file_checksum;
+    SavedInfo saved{};       ///< identity of the tile file (when on_disk)
   };
 
   /// Never a packed tile id (those use 48 bits): lru_victim's "keep none".
   static constexpr TileId kNoTile = ~TileId{0};
 
   std::string tile_file(TileId id) const;
-  std::unique_ptr<map::TileBackend> load_file(TileId id, Slot& slot);
+  std::unique_ptr<map::TileBackend> load_file(TileId id, const Slot& slot);
   void write_file(TileId id, Slot& slot);
   void evict(TileId id, Slot& slot);
   void set_resident_bytes(Slot& slot, std::size_t bytes);
@@ -244,6 +238,9 @@ class TilePager {
   uint64_t arbiter_id_ = 0;
   std::size_t resident_tiles_ = 0;
   mutable TilePagerStats counters_{};  // evictions/reloads/writes/transient
+  /// The bytes of the tile file being written or read; every write and
+  /// read reuses its capacity.
+  std::string frame_buf_;
   obs::Histogram* evict_ns_ = nullptr;   // "paging.evict_ns"
   obs::Histogram* reload_ns_ = nullptr;  // "paging.reload_ns"
 };

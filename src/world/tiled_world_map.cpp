@@ -63,7 +63,7 @@ std::unique_ptr<TiledWorldMap> TiledWorldMap::open(const std::string& directory,
   std::unique_ptr<TiledWorldMap> world(new TiledWorldMap(std::move(cfg), OpenTag{}));
   for (const WorldManifest::TileEntry& tile : manifest.tiles) {
     world->pager_.register_on_disk(
-        pack_tile(tile.coord), TilePager::SavedInfo{tile.content_hash, tile.leaf_count});
+        pack_tile(tile.coord), TilePager::SavedInfo{tile.checksum, tile.leaf_count});
   }
   world->manifest_on_disk_ = true;
   world->manifest_synced_writes_ = 0;
@@ -328,7 +328,7 @@ void TiledWorldMap::write_manifest_locked() {
     if (!pager_.on_disk(id)) continue;
     const TilePager::SavedInfo info = pager_.saved_info(id);
     manifest.tiles.push_back(
-        WorldManifest::TileEntry{unpack_tile(id), info.content_hash, info.leaf_count});
+        WorldManifest::TileEntry{unpack_tile(id), info.checksum, info.leaf_count});
   }
   manifest.write_file(cfg_.directory);
   manifest_on_disk_ = true;
@@ -338,7 +338,7 @@ void TiledWorldMap::write_manifest_locked() {
 void TiledWorldMap::sync_manifest_locked() {
   // Once a manifest exists, evictions rewriting tile files must not leave
   // it stale — a reopened world that pages but never save()s again would
-  // otherwise fail its own content-hash verification on the next open.
+  // otherwise fail its own tile-file verification on the next open.
   if (!manifest_on_disk_) return;
   if (pager_.stats().tile_writes == manifest_synced_writes_) return;
   write_manifest_locked();

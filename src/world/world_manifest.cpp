@@ -35,7 +35,7 @@ void WorldManifest::write(std::ostream& os) const {
     io::write_pod(payload, tile.coord.tx);
     io::write_pod(payload, tile.coord.ty);
     io::write_pod(payload, tile.coord.tz);
-    io::write_pod(payload, tile.content_hash);
+    io::write_pod(payload, tile.checksum);
     io::write_pod(payload, tile.leaf_count);
   }
 
@@ -75,7 +75,7 @@ WorldManifest WorldManifest::read(std::istream& is) {
         tile.coord.tz >= tiles_per_axis) {
       throw std::runtime_error("WorldManifest: tile coordinate out of range");
     }
-    tile.content_hash = io::read_pod<uint64_t>(payload, kLabel);
+    tile.checksum = io::read_pod<uint64_t>(payload, kLabel);
     tile.leaf_count = io::read_pod<uint64_t>(payload, kLabel);
     m.tiles.push_back(tile);
   }

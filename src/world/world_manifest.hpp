@@ -3,10 +3,12 @@
 // A world directory holds one MANIFEST.omw plus one octree_io v2 tile
 // file per non-empty tile under tiles/. The manifest records the world's
 // metric/sensor parameters, the tile partition, and for each tile its
-// coordinates, canonical content hash and leaf count — enough to reopen
-// the world without touching any tile file, and to verify on reload that
-// a tile file is the one the manifest promised (a swapped or stale file
-// fails with a clean error naming the tile, not a silently wrong map).
+// coordinates and the identity of its file: the frame checksum and the
+// leaf count of the node stream. That is enough to reopen the world
+// without touching any tile file, and to verify every read of a tile file
+// the same way a reload in the writing session is verified (a swapped or
+// stale file fails with a clean error naming the tile, not a silently
+// wrong map).
 //
 // Layout on disk: the shared file frame of io/framing.hpp with magic
 // "OMUWRLD1" (length, payload, trailing FNV-1a), so truncation and bit
@@ -36,10 +38,15 @@ struct WorldManifest {
   map::OccupancyParams params{};
   int tile_shift = 12;
 
+  /// One tile file's identity (22 bytes on disk: three u16 coordinates,
+  /// two u64). An entry that does not describe its file — a stale one, or
+  /// one holding the tile's canonical content hash, as manifests did
+  /// before this field held the frame checksum — opens, and every read of
+  /// its tile fails naming the tile.
   struct TileEntry {
     TileCoord coord;
-    uint64_t content_hash = 0;  ///< MapBackend::content_hash of the tile
-    uint64_t leaf_count = 0;    ///< leaves in the tile's canonical export
+    uint64_t checksum = 0;    ///< FNV-1a field of the tile file's frame
+    uint64_t leaf_count = 0;  ///< leaf nodes in the tile file's node stream
   };
   std::vector<TileEntry> tiles;
 

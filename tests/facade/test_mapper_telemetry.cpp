@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -185,6 +186,36 @@ TEST(MapperTelemetry, DisabledMetricsKeepCountersButDropTimings) {
   ASSERT_NE(scans, nullptr);
   EXPECT_EQ(scans->counter, test_scans().size());
   EXPECT_EQ(mapper.stats()->ingest.scans_inserted, test_scans().size());
+}
+
+TEST(MapperTelemetry, WorldSessionCountsTransientTileReads) {
+  // A budget far below the stream's footprint: by the first flush most
+  // tiles are evicted, and publishing the view reads each of them from
+  // disk without paging it in.
+  facade_testing::TempDir dir("telemetry_transient");
+  Mapper mapper = Mapper::create(MapperConfig()
+                                     .resolution(0.2)
+                                     .backend(BackendKind::kTiledWorld)
+                                     .world({.directory = dir.path(),
+                                             .resident_byte_budget = 64 * 1024,
+                                             .tile_shift = 5}))
+                      .value();
+  stream_into(mapper, test_scans());
+  ASSERT_TRUE(mapper.flush().ok());
+
+  const WorldPagingStats paging = mapper.paging_stats().value();
+  ASSERT_GT(paging.evictions, 0u) << "no eviction; test is vacuous";
+  EXPECT_GT(paging.transient_reads, 0u);
+  const TelemetrySnapshot snap = mapper.telemetry().value();
+  const TelemetrySnapshot::Metric* reads = snap.find("paging.transient_reads");
+  ASSERT_NE(reads, nullptr);
+  EXPECT_EQ(reads->kind, TelemetrySnapshot::Metric::Kind::kCounter);
+  EXPECT_EQ(reads->counter, paging.transient_reads);
+  std::ostringstream os;
+  os << paging;
+  EXPECT_NE(os.str().find(std::to_string(paging.transient_reads) + " transient reads"),
+            std::string::npos)
+      << os.str();
 }
 
 TEST(MapperTelemetry, StatsAndTelemetryFailClosedAfterClose) {
