@@ -15,7 +15,6 @@
 
 #include "benchkit/benchmark.hpp"
 #include "geom/kernels/key_kernels.hpp"
-#include "geom/kernels/logodds_kernels.hpp"
 #include "geom/kernels/ray_kernels.hpp"
 #include "geom/kernels/simd.hpp"
 #include "geom/rng.hpp"
@@ -123,45 +122,6 @@ void hotpath_quantize(benchkit::State& state) {
   }
 }
 
-void hotpath_logodds(benchkit::State& state) {
-  const bool simd = want_simd(state);
-  if (state.skipped()) return;
-
-  state.pause_timing();
-  constexpr std::size_t kValues = 200000;
-  constexpr int kRounds = 20;
-  geom::SplitMix64 rng(74);
-  std::vector<float> pristine(kValues), deltas(kValues);
-  for (std::size_t i = 0; i < kValues; ++i) {
-    pristine[i] = static_cast<float>(rng.uniform(-2.0, 3.5));
-    deltas[i] = rng.next_below(100) < 40 ? 0.85f : -0.4f;
-  }
-  std::vector<float> values(kValues);
-  state.resume_timing();
-
-  for (int round = 0; round < kRounds; ++round) {
-    std::memcpy(values.data(), pristine.data(), kValues * sizeof(float));
-    if (simd) {
-      kernels::saturating_add_batch(values.data(), deltas.data(), kValues, -2.0f, 3.5f);
-    } else {
-      kernels::saturating_add_batch_scalar(values.data(), deltas.data(), kValues, -2.0f, 3.5f);
-    }
-  }
-  state.set_items_processed(static_cast<uint64_t>(kValues) * kRounds);
-
-  if (simd) {
-    state.pause_timing();
-    std::vector<float> ref = pristine;
-    kernels::saturating_add_batch_scalar(ref.data(), deltas.data(), kValues, -2.0f, 3.5f);
-    bool identical = true;
-    for (std::size_t i = 0; identical && i < kValues; ++i) {
-      identical = std::bit_cast<uint32_t>(ref[i]) == std::bit_cast<uint32_t>(values[i]);
-    }
-    state.check("bitwise_matches_scalar", identical);
-    state.resume_timing();
-  }
-}
-
 void hotpath_dda(benchkit::State& state) {
   const bool batch = state.param("impl") == "batch";
   state.pause_timing();
@@ -236,7 +196,6 @@ void hotpath_insert_e2e(benchkit::State& state) {
 
 OMU_BENCHMARK(hotpath_ray_prepare).axis("impl", std::vector<std::string>{"scalar", "simd"});
 OMU_BENCHMARK(hotpath_quantize).axis("impl", std::vector<std::string>{"scalar", "simd"});
-OMU_BENCHMARK(hotpath_logodds).axis("impl", std::vector<std::string>{"scalar", "simd"});
 OMU_BENCHMARK(hotpath_dda).axis("impl", std::vector<std::string>{"per_ray", "batch"});
 OMU_BENCHMARK(hotpath_insert_e2e)
     .axis("mode", std::vector<std::string>{"ray_by_ray", "discretized"});

@@ -3,9 +3,9 @@
 // the insert hot path — and prices the opt-in surfaces (trace journal,
 // export serialization).
 //
-//   telemetry/backend:{octree,hybrid}/mode:{off,on,journal}
+//   telemetry/backend:octree/mode:{off,on,journal}
 //
-// Each case streams FR-079 through a facade session with the given
+// Each case streams FR-079 through an octree facade session with the given
 // TelemetryOptions. The `on` cases ALSO stream an identical metrics-off
 // session, interleaved min-over-repeats (the off session's handles are
 // null, which is the same site cost as the OMU_TELEMETRY=OFF build: one
@@ -36,20 +36,11 @@ constexpr int kRepeats = 3;
 constexpr double kOverheadRatio = 1.02;
 constexpr double kAbsSlackSeconds = 0.05;
 
-MapperConfig config_for(const std::string& backend, const TelemetryOptions& telemetry) {
-  MapperConfig cfg = MapperConfig().resolution(0.2).telemetry(telemetry);
-  if (backend == "hybrid") {
-    cfg.backend(BackendKind::kHybrid).hybrid({.window_voxels = 64});
-  }
-  return cfg;
-}
-
 /// Streams the dataset through one facade session; returns insert+flush
 /// seconds (the instrumented path the overhead contract covers).
-double run_session(const std::string& backend, const TelemetryOptions& telemetry,
-                   std::optional<Mapper>* keep = nullptr) {
+double run_session(const TelemetryOptions& telemetry, std::optional<Mapper>* keep = nullptr) {
   const auto& scans = omu::bench::scans_memo(data::DatasetId::kFr079Corridor);
-  Mapper mapper = Mapper::create(config_for(backend, telemetry)).value();
+  Mapper mapper = Mapper::create(MapperConfig().resolution(0.2).telemetry(telemetry)).value();
   const auto start = std::chrono::steady_clock::now();
   for (const data::DatasetScan& scan : scans) {
     const geom::Vec3d origin = scan.pose.translation();
@@ -67,7 +58,6 @@ double run_session(const std::string& backend, const TelemetryOptions& telemetry
 }
 
 void telemetry_bench(benchkit::State& state) {
-  const std::string backend = state.param("backend");
   const std::string mode = state.param("mode");
 
   TelemetryOptions options;
@@ -80,7 +70,7 @@ void telemetry_bench(benchkit::State& state) {
 
   // ---- Timed: the session under this case's options ----------------------
   std::optional<Mapper> session;
-  double seconds = run_session(backend, options, &session);
+  double seconds = run_session(options, &session);
 
   state.pause_timing();
   const MapperStats stats = session->stats().value();
@@ -92,10 +82,10 @@ void telemetry_bench(benchkit::State& state) {
     TelemetryOptions off;
     off.metrics = false;
     double best_on = seconds;
-    double best_off = run_session(backend, off);
+    double best_off = run_session(off);
     for (int i = 1; i < kRepeats; ++i) {
-      const double on_i = run_session(backend, options);
-      const double off_i = run_session(backend, off);
+      const double on_i = run_session(options);
+      const double off_i = run_session(off);
       best_on = on_i < best_on ? on_i : best_on;
       best_off = off_i < best_off ? off_i : best_off;
     }
@@ -139,7 +129,7 @@ void telemetry_bench(benchkit::State& state) {
 
 benchkit::Family& telemetry_family =
     benchkit::register_family("telemetry", telemetry_bench)
-        .axis("backend", std::vector<std::string>{"octree", "hybrid"})
+        .axis("backend", std::vector<std::string>{"octree"})
         .axis("mode", std::vector<std::string>{"off", "on", "journal"})
         .default_repeats(1)
         .default_warmup(0);

@@ -2,10 +2,9 @@
 //
 // A MapperConfig describes a whole mapping session: metric resolution,
 // sensor model, which backend integrates updates (serial octree, the OMU
-// accelerator model, the tiled out-of-core world map, or the hybrid
-// dense-front write absorber), and the mode-specific knobs grouped into
-// one options struct per backend (WorldOptions, HybridOptions,
-// AcceleratorOptions).
+// accelerator model, or the tiled out-of-core world map), and the
+// mode-specific knobs grouped into one options struct per backend
+// (WorldOptions, AcceleratorOptions).
 // Mapper::create validates the combination up front and returns an
 // actionable Status::invalid_argument naming the offending field and
 // value — a misconfiguration is told at build time, never via a deep
@@ -40,12 +39,11 @@ struct OmuConfig;  // internal accelerator model configuration (src/accel)
 namespace omu {
 
 /// Which engine integrates the voxel-update stream. The values travel
-/// on the wire (service SessionSpec); 2 is retired and never reused.
+/// on the wire (service SessionSpec); 2 and 4 are retired and never reused.
 enum class BackendKind {
   kOctree = 0,       ///< serial software octree (the reference implementation)
   kAccelerator = 1,  ///< cycle-level OMU accelerator model
   kTiledWorld = 3,   ///< tiled out-of-core world map (disk paging, bounded RAM)
-  kHybrid = 4,       ///< dense scrolling-window write absorber over a back backend
 };
 
 /// Short stable name of a backend kind ("octree", "accelerator", ...).
@@ -81,8 +79,7 @@ struct AcceleratorOptions {
   bool reuse_pruned_rows = true;     ///< prune address manager row recycling
 };
 
-/// Options of the tiled out-of-core world map (BackendKind::kTiledWorld,
-/// or the back backend of a hybrid session).
+/// Options of the tiled out-of-core world map (BackendKind::kTiledWorld).
 struct WorldOptions {
   /// Manifest + tiles/ directory. Empty = purely in-memory world.
   std::string directory;
@@ -91,25 +88,6 @@ struct WorldOptions {
   std::size_t resident_byte_budget = 0;
   /// log2 tile span in finest voxels per axis (1..16).
   int tile_shift = 12;
-};
-
-/// Options of the hybrid dense-front write absorber
-/// (BackendKind::kHybrid): a fixed-size scrolling voxel window absorbs
-/// the update stream near the sensor and flushes per-voxel aggregated
-/// deltas into `back_backend` — bit-identical to inserting directly, but
-/// each hot voxel costs one tree edit per flush instead of one per ray.
-struct HybridOptions {
-  /// Dense window edge length in voxels (power of two in [2, 256]).
-  uint32_t window_voxels = 64;
-  /// Flush the window into the back backend once this many distinct
-  /// voxels are dirty (0 = only at scrolls and explicit flush boundaries,
-  /// i.e. a high water of window_voxels^3).
-  std::size_t flush_high_water = 0;
-  /// The durable map behind the window. Any kind except kAccelerator
-  /// (its map lives in modeled TreeMem and cannot absorb aggregated
-  /// deltas) and kHybrid (no nesting). Configure a kTiledWorld back
-  /// through world() as usual.
-  BackendKind back_backend = BackendKind::kOctree;
 };
 
 /// Fluent builder for a Mapper session. Setters return *this so a whole
@@ -139,17 +117,9 @@ class MapperConfig {
     return *this;
   }
 
-  /// Tiled-world options (kTiledWorld sessions, or hybrid sessions whose
-  /// back_backend is kTiledWorld).
+  /// Tiled-world options (kTiledWorld only).
   MapperConfig& world(const WorldOptions& options) {
     world_ = options;
-    return *this;
-  }
-
-  /// Hybrid write-absorber options (kHybrid only).
-  MapperConfig& hybrid(const HybridOptions& options) {
-    hybrid_ = options;
-    hybrid_set_ = true;
     return *this;
   }
 
@@ -180,7 +150,6 @@ class MapperConfig {
   BackendKind backend() const { return backend_; }
   const SensorModel& sensor_model() const { return sensor_model_; }
   const WorldOptions& world() const { return world_; }
-  const HybridOptions& hybrid() const { return hybrid_; }
   const TelemetryOptions& telemetry() const { return telemetry_; }
   const std::optional<AcceleratorOptions>& accelerator() const { return accelerator_; }
   /// Non-null when accelerator_config() was used.
@@ -195,13 +164,11 @@ class MapperConfig {
   BackendKind backend_ = BackendKind::kOctree;
   SensorModel sensor_model_{};
   WorldOptions world_{};
-  HybridOptions hybrid_{};
   TelemetryOptions telemetry_{};
   std::optional<AcceleratorOptions> accelerator_;
   // shared_ptr so MapperConfig stays copyable with only a forward
   // declaration of the internal type (the control block owns the deleter).
   std::shared_ptr<const accel::OmuConfig> accel_config_;
-  bool hybrid_set_ = false;  ///< hybrid({...}) was called
 };
 
 }  // namespace omu

@@ -5,7 +5,7 @@
 // concurrently with no synchronization while the mapper keeps integrating
 // scans, and a view stays valid after its Mapper has moved on — or been
 // closed entirely. Internally it wraps either a flattened query
-// MapSnapshot (octree/accelerator/hybrid sessions) or a federated
+// MapSnapshot (octree/accelerator sessions) or a federated
 // per-tile WorldQueryView (tiled-world sessions); answers are
 // bit-identical to querying the flushed live map either way.
 //

@@ -9,14 +9,11 @@
 //               -> save/save_map -> close
 //
 // Internally the facade composes the existing subsystems — the serial
-// octree, the OMU accelerator model, the tiled out-of-core world map, the
-// hybrid dense-front write absorber
-// (a scrolling voxel window that follows the sensor origin and flushes
-// aggregated per-voxel deltas into a back backend), and the concurrent
-// query/view services —
-// so every combination the config can express routes through one code
-// path, and maps built through the facade are bit-identical to hand-wired
-// sessions of the same backend (tests/facade enforces this).
+// octree, the OMU accelerator model, the tiled out-of-core world map, and
+// the concurrent query/view services — so every combination the config
+// can express routes through one code path, and maps built through the
+// facade are bit-identical to hand-wired sessions of the same backend
+// (tests/facade enforces this).
 //
 // Error handling: every fallible call returns Status/Result — no internal
 // exception escapes the facade. Queries on an immutable MapView cannot
@@ -62,9 +59,6 @@ class TiledWorldMap;
 }
 namespace omu::query {
 class QueryService;
-}
-namespace omu::localgrid {
-class HybridMapBackend;
 }
 
 namespace omu {
@@ -145,9 +139,9 @@ class Mapper {
     return insert(rays.empty() ? nullptr : rays.data(), rays.size());
   }
 
-  /// Retires any pending backlog (accelerator pipeline, absorber window,
-  /// dirty tiles) and publishes a fresh snapshot/view — the
-  /// epoch boundary snapshot() readers observe.
+  /// Retires any pending backlog (accelerator pipeline, dirty tiles) and
+  /// publishes a fresh snapshot/view — the epoch boundary snapshot()
+  /// readers observe.
   Status flush();
 
   // ---- Read path ---------------------------------------------------------
@@ -187,12 +181,12 @@ class Mapper {
   const MapperConfig& config() const;
   BackendKind backend() const;
   /// Backend's human-readable name ("octree", "omu-accelerator",
-  /// "tiled-world/shift:12", "hybrid[...]").
+  /// "tiled-world/shift:12").
   std::string backend_name() const;
   double resolution() const;
 
   /// Cheap cumulative session counters, grouped per subsystem:
-  /// stats()->ingest / .publication / .paging / .absorber. The groups are
+  /// stats()->ingest / .publication / .paging. The groups are
   /// views over the session's named telemetry metrics (the same numbers
   /// telemetry() exports as counters). kFailedPrecondition after close().
   Result<MapperStats> stats() const;
@@ -204,9 +198,8 @@ class Mapper {
   /// kFailedPrecondition after close().
   Result<TelemetrySnapshot> telemetry() const;
 
-  /// Paging counters (sessions with a tiled world — kTiledWorld or
-  /// hybrid-over-world; kFailedPrecondition otherwise). The same numbers
-  /// appear in stats().paging.
+  /// Paging counters (kTiledWorld sessions; kFailedPrecondition
+  /// otherwise). The same numbers appear in stats().paging.
   Result<WorldPagingStats> paging_stats() const;
 
   /// Hash of the canonical merged leaf content — equal hashes mean
@@ -222,10 +215,6 @@ class Mapper {
   map::OccupancyOctree* internal_octree();
   accel::OmuAccelerator* internal_accelerator();
   world::TiledWorldMap* internal_world();
-  /// The hybrid write absorber (kHybrid sessions). The back backend is
-  /// still reachable through the engine accessors above (e.g.
-  /// internal_world() for a hybrid-over-world session).
-  localgrid::HybridMapBackend* internal_hybrid();
   /// The snapshot publication service (non-world sessions; nullptr for
   /// kTiledWorld, whose views publish through its internal view service).
   query::QueryService* internal_query_service();

@@ -4,10 +4,10 @@
 // Mapper::telemetry() returns one of these: every named counter, gauge
 // and latency histogram the session's subsystems recorded (hierarchical
 // dotted names — "ingest.insert_ns", "publish.splice_ns",
-// "paging.evict_ns", "absorber.drain_ns"),
-// plus the bounded trace journal when TelemetryOptions::journal is on.
-// The snapshot is a plain value: exporting costs the session nothing
-// beyond relaxed loads, and the result can cross threads/processes freely.
+// "paging.evict_ns"), plus the bounded trace journal when
+// TelemetryOptions::journal is on. The snapshot is a plain value:
+// exporting costs the session nothing beyond relaxed loads, and the
+// result can cross threads/processes freely.
 //
 // Two serializations ship with it:
 //   - to_json(): one JSON document (the omu_top CLI renders it; the
@@ -47,9 +47,9 @@ struct TelemetryOptions {
   /// MapperStats always stay on.
   bool metrics = true;
   /// Structured begin/end trace events into a bounded ring journal, so a
-  /// flush timeline can be reconstructed (insert -> absorb -> flush ->
-  /// splice -> publish). Off by default: the journal is a debugging
-  /// surface, not part of the steady-state overhead contract.
+  /// flush timeline can be reconstructed (insert -> flush -> splice ->
+  /// publish). Off by default: the journal is a debugging surface, not
+  /// part of the steady-state overhead contract.
   bool journal = false;
   /// Journal ring capacity in events (newest win; the export reports how
   /// many were overwritten).

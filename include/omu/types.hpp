@@ -103,10 +103,10 @@ struct WorldPagingStats {
 
 /// Cheap cumulative session counters (see Mapper::stats), grouped by the
 /// subsystem that produces them: `ingest` (the write path), `publication`
-/// (the snapshot service), `paging` (the tiled world's pager) and
-/// `absorber` (the hybrid backend's scrolling window). Groups that do not
-/// apply to the session's backend stay zero. Each group — and the whole
-/// struct — streams to std::ostream as a one-group-per-line summary.
+/// (the snapshot service) and `paging` (the tiled world's pager). Groups
+/// that do not apply to the session's backend stay zero. Each group — and
+/// the whole struct — streams to std::ostream as a one-group-per-line
+/// summary.
 struct MapperStats {
   /// Write-path counters: what the session ingested and what it cost.
   struct Ingest {
@@ -125,7 +125,7 @@ struct MapperStats {
   /// rebuilds only what changed since the previous epoch and shares the
   /// rest with it, and a flush with no changes publishes nothing. The
   /// sharing unit is a first-level branch chunk for octree / accelerator
-  /// / hybrid sessions and a tile snapshot for tiled-world sessions.
+  /// sessions and a tile snapshot for tiled-world sessions.
   struct Publication {
     uint64_t snapshots_published = 0;       ///< epochs readers actually saw
     uint64_t incremental_publications = 0;  ///< spliced onto the previous epoch
@@ -136,27 +136,13 @@ struct MapperStats {
     std::size_t bytes_rebuilt = 0; ///< snapshot bytes freshly built
   };
 
-  /// Write-absorber counters of a hybrid session: how much of the update
-  /// stream the dense window soaked up, and what flushed it.
-  struct Absorber {
-    uint64_t updates_absorbed = 0;       ///< updates folded into the window
-    uint64_t updates_passed_through = 0; ///< out-of-window updates sent straight back
-    uint64_t voxels_flushed = 0;         ///< aggregated per-voxel deltas emitted
-    uint64_t window_flushes = 0;         ///< whole-window drains (flush/snapshot/high water)
-    uint64_t high_water_flushes = 0;     ///< of which tripped by the dirty high water
-    uint64_t scrolls = 0;                ///< window recenters onto the sensor
-    uint64_t scroll_evictions = 0;       ///< aggregates evicted by scrolls
-  };
-
   Ingest ingest;
   Publication publication;
   WorldPagingStats paging;
-  Absorber absorber;
 };
 
 std::ostream& operator<<(std::ostream& os, const MapperStats::Ingest& s);
 std::ostream& operator<<(std::ostream& os, const MapperStats::Publication& s);
-std::ostream& operator<<(std::ostream& os, const MapperStats::Absorber& s);
 std::ostream& operator<<(std::ostream& os, const WorldPagingStats& s);
 /// Streams the non-empty groups, one line each.
 std::ostream& operator<<(std::ostream& os, const MapperStats& s);

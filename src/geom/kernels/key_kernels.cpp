@@ -6,13 +6,6 @@
 
 namespace omu::geom::kernels {
 
-void packed48_batch(const uint16_t* x, const uint16_t* y, const uint16_t* z, std::size_t n,
-                    uint64_t* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = packed48(x[i], y[i], z[i]);
-  }
-}
-
 void quantize_axis_scalar(const double* x, std::size_t n, double inv_res, int32_t key_origin,
                           uint16_t* key_out, uint8_t* valid_out) {
   for (std::size_t i = 0; i < n; ++i) {

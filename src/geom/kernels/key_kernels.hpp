@@ -46,11 +46,6 @@ constexpr uint64_t packed48(uint16_t x, uint16_t y, uint16_t z) {
          (static_cast<uint64_t>(z) << 32);
 }
 
-/// Batch packed-key computation: out[i] = packed48(x[i], y[i], z[i]).
-/// Scalar only: an SSE2 variant measured no faster.
-void packed48_batch(const uint16_t* x, const uint16_t* y, const uint16_t* z, std::size_t n,
-                    uint64_t* out);
-
 // ---- Coordinate quantization -----------------------------------------------
 
 /// Quantizes one axis of a coordinate batch to voxel keys:

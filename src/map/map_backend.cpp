@@ -1,15 +1,8 @@
 #include "map/map_backend.hpp"
 
-#include <stdexcept>
-
 #include "obs/telemetry.hpp"
 
 namespace omu::map {
-
-void MapBackend::apply_aggregated(const std::vector<AggregatedVoxelDelta>& deltas) {
-  (void)deltas;
-  throw std::logic_error("MapBackend '" + name() + "' does not accept aggregated deltas");
-}
 
 Occupancy MapBackend::classify(const geom::Vec3d& position) {
   const auto key = coder().key_for(position);
@@ -21,10 +14,6 @@ uint64_t MapBackend::content_hash() const { return hash_leaf_records(leaves_sort
 
 void OctreeBackend::apply(const UpdateBatch& batch) {
   for (const VoxelUpdate& u : batch) tree_->update_node(u.key, u.occupied);
-}
-
-void OctreeBackend::apply_aggregated(const std::vector<AggregatedVoxelDelta>& deltas) {
-  for (const AggregatedVoxelDelta& d : deltas) apply_aggregated_to_tree(*tree_, d);
 }
 
 void OctreeBackend::set_telemetry(obs::Telemetry* telemetry) {

@@ -4,24 +4,22 @@
 // Stage 3 of the scan-ingest pipeline dispatches UpdateBatches to a
 // MapBackend; today's implementations are the serial software octree
 // (OctreeBackend below), the OMU accelerator model
-// (accel::AcceleratorBackend), the tiled out-of-core world map
-// (world::TiledWorldMap) and the hybrid write absorber
-// (localgrid::HybridMapBackend). All of them integrate the same batches
-// and export the same canonical leaf records, so maps built on any backend
-// can be compared bit for bit — the property every equivalence suite in
-// tests/ leans on.
+// (accel::AcceleratorBackend) and the tiled out-of-core world map
+// (world::TiledWorldMap). All of them integrate the same batches and
+// export the same canonical leaf records, so maps built on any backend can
+// be compared bit for bit — the property every equivalence suite in tests/
+// leans on.
 //
-// apply() may be deferred (the accelerator streams, the hybrid window
-// absorbs); flush() is the barrier that retires any backlog. classify() and
-// the leaf exports reflect the updates applied so far — call flush() first
-// when an exact point-in-time snapshot is needed.
+// apply() may be deferred (the accelerator streams); flush() is the
+// barrier that retires any backlog. classify() and the leaf exports
+// reflect the updates applied so far — call flush() first when an exact
+// point-in-time snapshot is needed.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "geom/vec3.hpp"
-#include "map/aggregated_delta.hpp"
 #include "map/occupancy_octree.hpp"
 #include "map/ockey.hpp"
 #include "map/update_batch.hpp"
@@ -83,20 +81,6 @@ class MapBackend {
 
   /// Integrates one batch of voxel updates (possibly asynchronously).
   virtual void apply(const UpdateBatch& batch) = 0;
-
-  /// Integrates a batch of aggregated per-voxel deltas — the flush unit of
-  /// the hybrid dense-front absorber (localgrid/hybrid_backend.hpp). Each
-  /// record carries the exact composition of one voxel's pending update
-  /// sequence (aggregated_delta.hpp); applying it leaves the map
-  /// bit-identical to replaying that sequence through apply(). Callers
-  /// pass records in ascending packed-key order (the defined deterministic
-  /// flush order) and follow the same single-producer contract as apply().
-  /// Applied synchronously: asynchronous backends first retire any queued
-  /// apply() backlog so per-voxel ordering holds. The default throws
-  /// std::logic_error — backends that cannot replay an aggregated sequence
-  /// (the accelerator stream) are rejected as hybrid back ends at
-  /// configuration time instead of silently diverging.
-  virtual void apply_aggregated(const std::vector<AggregatedVoxelDelta>& deltas);
 
   /// Retires any asynchronous backlog; no-op for synchronous backends.
   virtual void flush() {}
@@ -162,7 +146,6 @@ class OctreeBackend final : public MapBackend {
   const KeyCoder& coder() const override { return tree_->coder(); }
   OccupancyParams occupancy_params() const override { return tree_->params(); }
   void apply(const UpdateBatch& batch) override;
-  void apply_aggregated(const std::vector<AggregatedVoxelDelta>& deltas) override;
   Occupancy classify(const OcKey& key) override { return tree_->classify(key); }
   std::vector<LeafRecord> leaves_sorted() const override { return tree_->leaves_sorted(); }
   uint64_t content_hash() const override { return tree_->content_hash(); }

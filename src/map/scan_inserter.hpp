@@ -7,8 +7,8 @@
 //   2. dedup policy (dedup_policy.hpp) — kRayByRay streams raw updates,
 //      kDiscretized de-duplicates within the scan (see insert_policy.hpp);
 //   3. dispatch (map_backend.hpp) — the resulting UpdateBatch is applied
-//      to a MapBackend: the serial octree, the accelerator model, the
-//      tiled world or the hybrid absorber.
+//      to a MapBackend: the serial octree, the accelerator model or the
+//      tiled world.
 // Both insert modes produce the same kind of UpdateBatch, and any backend
 // consumes it, so one ray-cast scan can drive every platform with
 // bit-identical work.

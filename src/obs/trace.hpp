@@ -3,7 +3,7 @@
 // A TraceSpan is an RAII timer: construction reads the steady clock,
 // destruction records the elapsed nanoseconds into a Histogram and — when
 // a TraceJournal is attached — appends structured begin/end events so a
-// full pipeline timeline (insert -> absorb -> flush -> splice -> publish)
+// full pipeline timeline (insert -> flush -> splice -> publish)
 // can be reconstructed from one flush. A span built with null handles
 // never reads the clock, so disabled instrumentation costs two pointer
 // compares per site.

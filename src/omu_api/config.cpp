@@ -22,21 +22,18 @@ std::string fmt(T value) {
   return os.str();
 }
 
-bool is_power_of_two(uint32_t v) { return v != 0 && (v & (v - 1)) == 0; }
-
-/// Rejects a `field` holding no BackendKind enumerator (a value cast from
-/// a wire byte or an integer may name none), naming the value it held.
-Status validate_backend_kind(const char* field, BackendKind kind) {
+/// Rejects a backend holding no BackendKind enumerator (a value cast from
+/// a wire byte or an integer may name none, and the retired 2 and 4 name
+/// none), naming the value it held.
+Status validate_backend_kind(BackendKind kind) {
   switch (kind) {
     case BackendKind::kOctree:
     case BackendKind::kAccelerator:
-    case BackendKind::kTiledWorld:
-    case BackendKind::kHybrid: return Status();
+    case BackendKind::kTiledWorld: return Status();
   }
-  return Status::invalid_argument(std::string(field) + ": unknown backend kind " +
+  return Status::invalid_argument("backend: unknown backend kind " +
                                   fmt(static_cast<int>(kind)) +
-                                  " (expected kOctree=0, kAccelerator=1, kTiledWorld=3 or "
-                                  "kHybrid=4)");
+                                  " (expected kOctree=0, kAccelerator=1 or kTiledWorld=3)");
 }
 
 /// Range/sanity checks shared by AcceleratorOptions and a full OmuConfig
@@ -69,7 +66,6 @@ const char* to_string(BackendKind kind) {
     case BackendKind::kOctree: return "octree";
     case BackendKind::kAccelerator: return "accelerator";
     case BackendKind::kTiledWorld: return "tiled-world";
-    case BackendKind::kHybrid: return "hybrid";
   }
   return "?";
 }
@@ -82,10 +78,7 @@ MapperConfig& MapperConfig::accelerator_config(const accel::OmuConfig& config) {
 // ---- Validation -------------------------------------------------------------
 
 Status MapperConfig::validate() const {
-  if (Status s = validate_backend_kind("backend", backend_); !s.ok()) return s;
-  if (Status s = validate_backend_kind("hybrid.back_backend", hybrid_.back_backend); !s.ok()) {
-    return s;
-  }
+  if (Status s = validate_backend_kind(backend_); !s.ok()) return s;
   if (!(resolution_ > 0.0) || !std::isfinite(resolution_)) {
     return Status::invalid_argument(
         "resolution: must be a positive finite voxel edge length in metres, got " +
@@ -109,19 +102,14 @@ Status MapperConfig::validate() const {
                                     fmt(sm.clamp_min) + " clamp_max=" + fmt(sm.clamp_max));
   }
 
-  // The backend kinds that actually integrate updates in this session:
-  // for hybrid, the back backend's knobs apply.
-  const bool is_hybrid = backend_ == BackendKind::kHybrid;
-  const BackendKind effective = is_hybrid ? hybrid_.back_backend : backend_;
-
   const bool wants_world = !world_.directory.empty() || world_.resident_byte_budget > 0;
-  if (wants_world && effective != BackendKind::kTiledWorld) {
+  if (wants_world && backend_ != BackendKind::kTiledWorld) {
     const std::string field =
         !world_.directory.empty() ? "world.directory" : "world.resident_byte_budget";
     const std::string value = !world_.directory.empty()
                                   ? "\"" + world_.directory + "\""
                                   : fmt(world_.resident_byte_budget) + " bytes";
-    if (effective == BackendKind::kAccelerator) {
+    if (backend_ == BackendKind::kAccelerator) {
       return Status::invalid_argument(
           field + ": " + value + " is unsupported with the accelerator backend (its map lives in "
           "modeled TreeMem and cannot page to disk); use backend(BackendKind::kTiledWorld) for "
@@ -129,11 +117,10 @@ Status MapperConfig::validate() const {
     }
     return Status::invalid_argument(
         field + ": " + value + " only applies to a tiled-world engine "
-        "(backend(BackendKind::kTiledWorld), or a hybrid session whose back_backend is "
-        "kTiledWorld); for a single-file map of the " + std::string(to_string(effective)) +
-        " backend use Mapper::save_map");
+        "(backend(BackendKind::kTiledWorld)); for a single-file map of the " +
+        std::string(to_string(backend_)) + " backend use Mapper::save_map");
   }
-  if (effective == BackendKind::kTiledWorld) {
+  if (backend_ == BackendKind::kTiledWorld) {
     if (world_.resident_byte_budget > 0 && world_.directory.empty()) {
       return Status::invalid_argument(
           "world.resident_byte_budget: " + fmt(world_.resident_byte_budget) +
@@ -143,45 +130,6 @@ Status MapperConfig::validate() const {
       return Status::invalid_argument("world.tile_shift: must be in [1, " + fmt(map::kTreeDepth) +
                                       "] (log2 voxels per tile axis), got " +
                                       fmt(world_.tile_shift));
-    }
-  }
-
-  if (hybrid_set_ && !is_hybrid) {
-    return Status::invalid_argument(
-        "hybrid: HybridOptions were set but backend is " + std::string(to_string(backend_)) +
-        "; they only apply to backend(BackendKind::kHybrid)");
-  }
-  if (is_hybrid) {
-    if (hybrid_.back_backend == BackendKind::kAccelerator) {
-      return Status::invalid_argument(
-          "hybrid.back_backend: kAccelerator cannot sit behind the hybrid window — the "
-          "accelerator model integrates raw per-ray updates in modeled TreeMem and does not "
-          "accept aggregated voxel deltas");
-    }
-    if (hybrid_.back_backend == BackendKind::kHybrid) {
-      return Status::invalid_argument(
-          "hybrid.back_backend: kHybrid cannot nest inside itself; pick the durable map kind "
-          "(kOctree or kTiledWorld)");
-    }
-    if (!is_power_of_two(hybrid_.window_voxels) || hybrid_.window_voxels < 2 ||
-        hybrid_.window_voxels > 256) {
-      return Status::invalid_argument(
-          "hybrid.window_voxels: must be a power of two in [2, 256] (toroidal addressing masks "
-          "key bits), got " + fmt(hybrid_.window_voxels));
-    }
-    const std::size_t capacity = static_cast<std::size_t>(hybrid_.window_voxels) *
-                                 hybrid_.window_voxels * hybrid_.window_voxels;
-    if (hybrid_.flush_high_water > capacity) {
-      return Status::invalid_argument(
-          "hybrid.flush_high_water: " + fmt(hybrid_.flush_high_water) +
-          " exceeds the window capacity " + fmt(capacity) + " (window_voxels^3 = " +
-          fmt(hybrid_.window_voxels) + "^3); the dirty count can never reach it");
-    }
-    if (!sm.quantized) {
-      return Status::invalid_argument(
-          "sensor_model.quantized: false is incompatible with backend(BackendKind::kHybrid) — "
-          "the write absorber's aggregated deltas are bit-exact only on the Q5.10 fixed-point "
-          "lattice");
     }
   }
 

@@ -1,7 +1,6 @@
 // omu::Mapper implementation: composes the internal subsystems (octree /
-// accelerator / tiled world / hybrid absorber + query services) behind
-// the public facade, and translates internal exceptions into Status at
-// the boundary.
+// accelerator / tiled world + query services) behind the public facade,
+// and translates internal exceptions into Status at the boundary.
 #include "omu/mapper.hpp"
 
 #include <cstring>
@@ -12,7 +11,6 @@
 #include "accel/accel_backend.hpp"
 #include "accel/omu_accelerator.hpp"
 #include "geom/pointcloud.hpp"
-#include "localgrid/hybrid_backend.hpp"
 #include "map/map_backend.hpp"
 #include "map/occupancy_octree.hpp"
 #include "map/octree_io.hpp"
@@ -84,9 +82,6 @@ struct Mapper::Impl {
   std::unique_ptr<accel::OmuAccelerator> accelerator;
   std::unique_ptr<accel::AcceleratorBackend> accel_backend;
   std::unique_ptr<world::TiledWorldMap> world;
-  // Hybrid sessions wrap one of the engines above (the back backend stays
-  // in its slot); `backend` then points at the hybrid.
-  std::unique_ptr<localgrid::HybridMapBackend> hybrid;
   map::MapBackend* backend = nullptr;
 
   std::unique_ptr<map::ScanInserter> inserter;
@@ -117,7 +112,6 @@ struct Mapper::Impl {
     inserter.reset();
     if (world) world->attach_view_service(nullptr);
     backend = nullptr;
-    hybrid.reset();  // non-owning view over a back engine: dies first
     octree_backend.reset();
     tree.reset();
     accel_backend.reset();
@@ -155,7 +149,6 @@ struct Mapper::Impl {
     inserter->set_telemetry(telemetry.get());
     if (octree_backend) octree_backend->set_telemetry(telemetry.get());
     if (world) world->set_telemetry(telemetry.get());
-    if (hybrid) hybrid->set_telemetry(telemetry.get());
     if (world) {
       view_service = std::make_unique<world::WorldViewService>();
       world->attach_view_service(view_service.get());  // publishes an initial view
@@ -168,9 +161,6 @@ struct Mapper::Impl {
 
   Status integrate_cloud(const geom::Vec3d& origin) {
     return guarded([&] {
-      // The absorber window follows the sensor: re-center before the scan
-      // integrates, so the dense front covers the rays about to land.
-      if (hybrid) hybrid->follow(origin);
       const map::ScanInsertResult r = inserter->insert_scan(cloud_scratch, origin);
       points_inserted->add(r.points);
       voxel_updates->add(r.total_updates());
@@ -204,14 +194,6 @@ struct Mapper::Impl {
       sync("paging.tile_writes", p.tile_writes);
       sync("paging.transient_reads", p.transient_reads);
     }
-    if (hybrid) {
-      const localgrid::AbsorberStats a = hybrid->absorber_stats();
-      sync("absorber.updates_absorbed", a.updates_absorbed);
-      sync("absorber.updates_passed_through", a.updates_passed_through);
-      sync("absorber.voxels_flushed", a.voxels_flushed);
-      sync("absorber.window_flushes", a.window_flushes);
-      sync("absorber.scrolls", a.scrolls);
-    }
   }
 };
 
@@ -231,27 +213,12 @@ Result<Mapper> Mapper::create(const MapperConfig& config) {
   impl->make_telemetry();
   const map::OccupancyParams params = api::to_occupancy_params(config.sensor_model());
 
-  // One engine builder per kind, reused by the hybrid case for its back.
-  const auto build_octree = [&] {
-    impl->tree = std::make_unique<map::OccupancyOctree>(config.resolution(), params);
-    impl->octree_backend = std::make_unique<map::OctreeBackend>(*impl->tree);
-    impl->backend = impl->octree_backend.get();
-  };
-  const auto build_world = [&] {
-    world::TiledWorldConfig cfg;
-    cfg.resolution = config.resolution();
-    cfg.params = params;
-    cfg.tile_shift = config.world().tile_shift;
-    cfg.resident_byte_budget = config.world().resident_byte_budget;
-    cfg.directory = config.world().directory;
-    impl->world = std::make_unique<world::TiledWorldMap>(cfg);
-    impl->backend = impl->world.get();
-  };
-
   const Status built = guarded([&] {
     switch (config.backend()) {
       case BackendKind::kOctree: {
-        build_octree();
+        impl->tree = std::make_unique<map::OccupancyOctree>(config.resolution(), params);
+        impl->octree_backend = std::make_unique<map::OctreeBackend>(*impl->tree);
+        impl->backend = impl->octree_backend.get();
         break;
       }
       case BackendKind::kAccelerator: {
@@ -274,22 +241,14 @@ Result<Mapper> Mapper::create(const MapperConfig& config) {
         break;
       }
       case BackendKind::kTiledWorld: {
-        build_world();
-        break;
-      }
-      case BackendKind::kHybrid: {
-        // The back engine lands in its usual slot; the hybrid wraps it
-        // and becomes the session backend.
-        if (config.hybrid().back_backend == BackendKind::kTiledWorld) {
-          build_world();
-        } else {
-          build_octree();  // validate() leaves only kOctree
-        }
-        localgrid::HybridConfig hcfg;
-        hcfg.window_voxels = config.hybrid().window_voxels;
-        hcfg.flush_high_water = config.hybrid().flush_high_water;
-        impl->hybrid = std::make_unique<localgrid::HybridMapBackend>(*impl->backend, hcfg);
-        impl->backend = impl->hybrid.get();
+        world::TiledWorldConfig cfg;
+        cfg.resolution = config.resolution();
+        cfg.params = params;
+        cfg.tile_shift = config.world().tile_shift;
+        cfg.resident_byte_budget = config.world().resident_byte_budget;
+        cfg.directory = config.world().directory;
+        impl->world = std::make_unique<world::TiledWorldMap>(cfg);
+        impl->backend = impl->world.get();
         break;
       }
     }
@@ -437,8 +396,7 @@ Status Mapper::flush() {
   if (!impl_ || !impl_->open) return closed_status();
   const Status s = guarded([&] {
     if (impl_->query_service) {
-      // refresh_from flushes first (a hybrid drains its window into the
-      // back), then publishes the epoch.
+      // refresh_from flushes first, then publishes the epoch.
       impl_->query_service->refresh_from(*impl_->backend);
     } else {
       impl_->backend->flush();  // the tiled world publishes its own view
@@ -481,12 +439,7 @@ Status Mapper::save() {
         "save: this tiled-world session is in-memory — configure world.directory at create "
         "time to make the world persistable");
   }
-  return guarded([&] {
-    // A hybrid-over-world session may hold absorbed updates that never
-    // reached a tile yet; the back's own apply path is synchronous.
-    if (impl_->hybrid) impl_->backend->flush();
-    impl_->world->save();
-  });
+  return guarded([&] { impl_->world->save(); });
 }
 
 Status Mapper::save_map(const std::string& path) {
@@ -580,16 +533,6 @@ Result<MapperStats> Mapper::stats() const {
     s.paging.tile_writes = p.tile_writes;
     s.paging.transient_reads = p.transient_reads;
   }
-  if (impl_->hybrid) {
-    const localgrid::AbsorberStats a = impl_->hybrid->absorber_stats();
-    s.absorber.updates_absorbed = a.updates_absorbed;
-    s.absorber.updates_passed_through = a.updates_passed_through;
-    s.absorber.voxels_flushed = a.voxels_flushed;
-    s.absorber.window_flushes = a.window_flushes;
-    s.absorber.high_water_flushes = a.high_water_flushes;
-    s.absorber.scrolls = a.scrolls;
-    s.absorber.scroll_evictions = a.scroll_evictions;
-  }
   return s;
 }
 
@@ -628,9 +571,6 @@ accel::OmuAccelerator* Mapper::internal_accelerator() {
   return impl_ ? impl_->accelerator.get() : nullptr;
 }
 world::TiledWorldMap* Mapper::internal_world() { return impl_ ? impl_->world.get() : nullptr; }
-localgrid::HybridMapBackend* Mapper::internal_hybrid() {
-  return impl_ ? impl_->hybrid.get() : nullptr;
-}
 query::QueryService* Mapper::internal_query_service() {
   return impl_ ? impl_->query_service.get() : nullptr;
 }

@@ -26,14 +26,6 @@ std::ostream& operator<<(std::ostream& os, const MapperStats::Publication& s) {
   return os;
 }
 
-std::ostream& operator<<(std::ostream& os, const MapperStats::Absorber& s) {
-  os << "absorber: " << s.updates_absorbed << " absorbed + " << s.updates_passed_through
-     << " passed through, " << s.voxels_flushed << " voxel deltas over " << s.window_flushes
-     << " flushes (" << s.high_water_flushes << " high-water), " << s.scrolls << " scrolls ("
-     << s.scroll_evictions << " evictions)";
-  return os;
-}
-
 std::ostream& operator<<(std::ostream& os, const WorldPagingStats& s) {
   os << "paging: " << s.resident_tiles << "/" << s.known_tiles << " tiles resident, "
      << static_cast<double>(s.resident_bytes) / 1024.0 << " KiB (peak "
@@ -51,9 +43,6 @@ std::ostream& operator<<(std::ostream& os, const WorldPagingStats& s) {
 std::ostream& operator<<(std::ostream& os, const MapperStats& s) {
   os << s.ingest << '\n' << s.publication;
   if (s.paging.known_tiles > 0 || s.paging.tile_writes > 0) os << '\n' << s.paging;
-  if (s.absorber.updates_absorbed > 0 || s.absorber.updates_passed_through > 0) {
-    os << '\n' << s.absorber;
-  }
   return os;
 }
 

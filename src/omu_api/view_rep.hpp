@@ -12,7 +12,7 @@
 namespace omu {
 
 struct MapView::Rep {
-  /// Flattened snapshot (octree / accelerator / hybrid sessions).
+  /// Flattened snapshot (octree / accelerator sessions).
   std::shared_ptr<const query::MapSnapshot> snapshot;
   /// Federated per-tile view (tiled-world sessions).
   std::shared_ptr<const world::WorldQueryView> world;

@@ -284,11 +284,7 @@ void MapService::handle_create(const std::shared_ptr<Connection>& conn, const Fr
   req.decode(r);
 
   omu::MapperConfig config = req.spec.to_config();
-  const bool world_backed =
-      config.backend() == omu::BackendKind::kTiledWorld ||
-      (config.backend() == omu::BackendKind::kHybrid &&
-       config.hybrid().back_backend == omu::BackendKind::kTiledWorld);
-  if (world_backed) {
+  if (config.backend() == omu::BackendKind::kTiledWorld) {
     omu::WorldOptions world = config.world();
     world.directory = resolve_world_directory(world.directory, cfg_.world_root);
     if (world.directory.empty() && cfg_.shared_resident_byte_budget > 0) {

@@ -98,22 +98,15 @@ omu::MapperConfig SessionSpec::to_config() const {
   tel.journal = telemetry_journal != 0;
 
   const auto kind = static_cast<omu::BackendKind>(backend);
-  const auto back = static_cast<omu::BackendKind>(hybrid_back_backend);
-  const omu::BackendKind effective = kind == omu::BackendKind::kHybrid ? back : kind;
 
   omu::MapperConfig config;
   config.resolution(resolution).backend(kind).sensor_model(model).telemetry(tel);
   // validate() rejects options groups for engines this session does not
-  // run, so only the effective backend's group is set.
-  if (effective == omu::BackendKind::kTiledWorld) {
+  // run, so the world group is set only for a world session.
+  if (kind == omu::BackendKind::kTiledWorld) {
     config.world({.directory = world_directory,
                   .resident_byte_budget = static_cast<std::size_t>(world_resident_byte_budget),
                   .tile_shift = static_cast<int>(tile_shift)});
-  }
-  if (kind == omu::BackendKind::kHybrid) {
-    config.hybrid({.window_voxels = hybrid_window_voxels,
-                   .flush_high_water = static_cast<std::size_t>(hybrid_flush_high_water),
-                   .back_backend = back});
   }
   return config;
 }
@@ -134,9 +127,6 @@ SessionSpec SessionSpec::from_config(const omu::MapperConfig& config) {
   spec.world_directory = config.world().directory;
   spec.world_resident_byte_budget = config.world().resident_byte_budget;
   spec.tile_shift = static_cast<uint32_t>(config.world().tile_shift);
-  spec.hybrid_window_voxels = config.hybrid().window_voxels;
-  spec.hybrid_flush_high_water = config.hybrid().flush_high_water;
-  spec.hybrid_back_backend = static_cast<uint8_t>(config.hybrid().back_backend);
   spec.telemetry_metrics = config.telemetry().metrics ? 1 : 0;
   spec.telemetry_journal = config.telemetry().journal ? 1 : 0;
   return spec;
@@ -157,9 +147,6 @@ void SessionSpec::encode(WireWriter& w) const {
   w.str(world_directory);
   w.u64(world_resident_byte_budget);
   w.u32(tile_shift);
-  w.u32(hybrid_window_voxels);
-  w.u64(hybrid_flush_high_water);
-  w.u8(hybrid_back_backend);
   w.u8(telemetry_metrics);
   w.u8(telemetry_journal);
   quota.encode(w);
@@ -180,9 +167,6 @@ void SessionSpec::decode(WireReader& r) {
   world_directory = r.str();
   world_resident_byte_budget = r.u64();
   tile_shift = r.u32();
-  hybrid_window_voxels = r.u32();
-  hybrid_flush_high_water = r.u64();
-  hybrid_back_backend = r.u8();
   telemetry_metrics = r.u8();
   telemetry_journal = r.u8();
   quota.decode(r);

@@ -109,10 +109,6 @@ struct SessionSpec {
   uint64_t world_resident_byte_budget = 0;
   uint32_t tile_shift = 12;
 
-  uint32_t hybrid_window_voxels = 64;
-  uint64_t hybrid_flush_high_water = 0;
-  uint8_t hybrid_back_backend = 0;
-
   uint8_t telemetry_metrics = 1;
   uint8_t telemetry_journal = 0;
 

@@ -47,9 +47,10 @@ class WireError : public std::runtime_error {
 inline constexpr uint32_t kWireMagic = 0x4F4D5557;  // "OMUW" little-endian
 /// Bumped on every payload layout or meaning change (2: SessionSpec
 /// without the shard-pipeline fields; 3: a delta event's u64 is the shard
-/// digest, not the canonical content hash), so a mismatched peer fails the
-/// version gate instead of misparsing.
-inline constexpr uint16_t kWireVersion = 3;
+/// digest, not the canonical content hash; 4: SessionSpec without the
+/// hybrid-absorber fields), so a mismatched peer fails the version gate
+/// instead of misparsing.
+inline constexpr uint16_t kWireVersion = 4;
 /// magic + version + type + request_id + payload_len.
 inline constexpr std::size_t kFrameHeaderBytes = 20;
 /// Hard payload bound; a header announcing more is corruption, not a

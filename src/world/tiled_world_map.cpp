@@ -9,28 +9,6 @@
 
 namespace omu::world {
 
-namespace {
-
-/// Applies a batch already split per tile (`apply_tile(backend, i)` applies
-/// the i-th tile's part) under the pager's budget. The tiles still to be
-/// applied stay pinned, so making room for one never evicts another the
-/// batch has not reached yet while any other tile can go instead.
-template <typename ApplyTile>
-void apply_per_tile(TilePager& pager, const std::vector<TileId>& ids, ApplyTile apply_tile) {
-  const TilePager::PinnedBatch pins = pager.pin_batch(ids);
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const TileId id = ids[i];
-    apply_tile(pager.acquire(id).backend(), i);
-    pager.mark_dirty(id);
-    pager.unpin(id);
-    // Enforce the byte budget at the sub-batch boundary; the tile just
-    // written is the one tile never evicted under itself.
-    pager.rebalance(id);
-  }
-}
-
-}  // namespace
-
 TiledWorldMap::TiledWorldMap(TiledWorldConfig config, OpenTag)
     : cfg_(std::move(config)),
       grid_(cfg_.resolution, cfg_.tile_shift),
@@ -93,35 +71,20 @@ void TiledWorldMap::apply(const map::UpdateBatch& batch) {
     split_[it->second].push(u.key, u.occupied);
   }
 
-  apply_per_tile(pager_, split_ids_,
-                 [this](map::MapBackend& tile, std::size_t i) { tile.apply(split_[i]); });
-  updates_applied_ += batch.size();
-  sync_manifest_locked();
-}
-
-void TiledWorldMap::apply_aggregated(const std::vector<map::AggregatedVoxelDelta>& deltas) {
-  if (deltas.empty()) return;
-  std::lock_guard lock(mutex_);
-
-  // Split per tile like apply(); the bucket append preserves the caller's
-  // ascending-key order within each tile.
-  std::unordered_map<TileId, std::size_t> index;
-  std::vector<TileId> ids;
-  std::vector<std::vector<map::AggregatedVoxelDelta>> split;
-  for (const map::AggregatedVoxelDelta& d : deltas) {
-    const TileId id = grid_.tile_id(d.key);
-    const auto [it, inserted] = index.try_emplace(id, ids.size());
-    if (inserted) {
-      ids.push_back(id);
-      split.emplace_back();
-    }
-    split[it->second].push_back(d);
+  // The tiles still to be applied stay pinned, so making room for one never
+  // evicts another the batch has not reached yet while any other tile can
+  // go instead.
+  const TilePager::PinnedBatch pins = pager_.pin_batch(split_ids_);
+  for (std::size_t i = 0; i < split_ids_.size(); ++i) {
+    const TileId id = split_ids_[i];
+    pager_.acquire(id).backend().apply(split_[i]);
+    pager_.mark_dirty(id);
+    pager_.unpin(id);
+    // Enforce the byte budget at the sub-batch boundary; the tile just
+    // written is the one tile never evicted under itself.
+    pager_.rebalance(id);
   }
-
-  apply_per_tile(pager_, ids, [&split](map::MapBackend& tile, std::size_t i) {
-    tile.apply_aggregated(split[i]);
-  });
-  updates_applied_ += deltas.size();
+  updates_applied_ += batch.size();
   sync_manifest_locked();
 }
 

@@ -129,13 +129,6 @@ class TiledWorldMap final : public map::MapBackend, private BudgetArbiter::Shedd
   /// byte budget requires.
   void apply(const map::UpdateBatch& batch) override;
 
-  /// Synchronous aggregated-delta ingestion (the hybrid absorber's flush
-  /// path): splits the records per tile — preserving the caller's
-  /// ascending-key order within each tile — pages each tile in and
-  /// recurses into its backend's apply_aggregated, under the same paging
-  /// and budget discipline as apply().
-  void apply_aggregated(const std::vector<map::AggregatedVoxelDelta>& deltas) override;
-
   /// Flushes every resident tile backend, then publishes a fresh
   /// WorldQueryView to the attached view service (if any) — the epoch
   /// boundary concurrent readers observe. Publication is O(changed):

@@ -46,18 +46,17 @@ TEST(MapperConfigValidation, RejectsNonPositiveResolution) {
 
 TEST(MapperConfigValidation, RejectsUnknownBackendKind) {
   // A kind cast from an integer (or a wire byte) that names no enumerator
-  // is rejected up front — 2 is the retired value, 9 was never assigned.
-  for (const int value : {2, 9, 255}) {
+  // is rejected up front — 2 and 4 are the retired values, 9 was never
+  // assigned.
+  for (const int value : {2, 4, 9, 255}) {
     const auto kind = static_cast<BackendKind>(value);
     const std::string text = std::to_string(value);
-    EXPECT_EQ(expect_rejected(MapperConfig().backend(kind), {"backend", text.c_str()}).code(),
-              StatusCode::kInvalidArgument);
+    const Status s = expect_rejected(MapperConfig().backend(kind), {"backend", text.c_str()});
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+    // The message lists exactly the live kinds.
+    EXPECT_NE(s.message().find("kOctree=0, kAccelerator=1 or kTiledWorld=3"), std::string::npos)
+        << s;
     EXPECT_FALSE(MapperConfig().backend(kind).validate().ok());
-    // An out-of-range back kind never silently builds an octree.
-    const Status back = expect_rejected(
-        MapperConfig().backend(BackendKind::kHybrid).hybrid({.back_backend = kind}),
-        {"hybrid.back_backend", text.c_str()});
-    EXPECT_EQ(back.code(), StatusCode::kInvalidArgument);
   }
 }
 
@@ -74,9 +73,7 @@ TEST(MapperConfigValidation, RejectsWorldPagingOnAccelerator) {
 TEST(MapperConfigValidation, RejectsWorldFieldsOnOctree) {
   expect_rejected(MapperConfig().world({.directory = "w"}),
                   {"world.directory", "w", "kTiledWorld"});
-  expect_rejected(MapperConfig()
-                      .backend(BackendKind::kHybrid)
-                      .world({.resident_byte_budget = 64}),
+  expect_rejected(MapperConfig().world({.resident_byte_budget = 64}),
                   {"world.resident_byte_budget", "64", "octree"});
 }
 
@@ -92,49 +89,6 @@ TEST(MapperConfigValidation, RejectsOutOfRangeTileShift) {
                   {"world.tile_shift", "0"});
   expect_rejected(MapperConfig().backend(BackendKind::kTiledWorld).world({.tile_shift = 17}),
                   {"world.tile_shift", "17"});
-}
-
-// ---- Hybrid write-absorber options ------------------------------------------
-
-TEST(MapperConfigValidation, RejectsHybridWindowNotPowerOfTwo) {
-  expect_rejected(
-      MapperConfig().backend(BackendKind::kHybrid).hybrid({.window_voxels = 48}),
-      {"hybrid.window_voxels", "48", "power of two"});
-  expect_rejected(MapperConfig().backend(BackendKind::kHybrid).hybrid({.window_voxels = 1}),
-                  {"hybrid.window_voxels", "1"});
-  expect_rejected(MapperConfig().backend(BackendKind::kHybrid).hybrid({.window_voxels = 512}),
-                  {"hybrid.window_voxels", "512"});
-}
-
-TEST(MapperConfigValidation, RejectsHybridHighWaterAboveWindowCapacity) {
-  const Status s = expect_rejected(
-      MapperConfig().backend(BackendKind::kHybrid).hybrid(
-          {.window_voxels = 4, .flush_high_water = 65}),
-      {"hybrid.flush_high_water", "65", "64"});
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-}
-
-TEST(MapperConfigValidation, RejectsHybridOverAccelerator) {
-  expect_rejected(MapperConfig().backend(BackendKind::kHybrid).hybrid(
-                      {.back_backend = BackendKind::kAccelerator}),
-                  {"hybrid.back_backend", "kAccelerator"});
-}
-
-TEST(MapperConfigValidation, RejectsHybridNestedInsideHybrid) {
-  expect_rejected(MapperConfig().backend(BackendKind::kHybrid).hybrid(
-                      {.back_backend = BackendKind::kHybrid}),
-                  {"hybrid.back_backend", "kHybrid"});
-}
-
-TEST(MapperConfigValidation, RejectsHybridOptionsOnOtherBackends) {
-  expect_rejected(MapperConfig().hybrid(HybridOptions{}), {"hybrid", "octree", "kHybrid"});
-}
-
-TEST(MapperConfigValidation, RejectsUnquantizedSensorModelUnderHybrid) {
-  SensorModel sm;
-  sm.quantized = false;
-  expect_rejected(MapperConfig().backend(BackendKind::kHybrid).sensor_model(sm),
-                  {"sensor_model.quantized", "kHybrid"});
 }
 
 TEST(MapperConfigValidation, RejectsAcceleratorOptionsOnOtherBackends) {
@@ -196,20 +150,6 @@ TEST(MapperConfigValidation, AcceptsEveryBackendKindWhenWellFormed) {
                   .world({.directory = "some_dir",
                           .resident_byte_budget = 1 << 20,
                           .tile_shift = 5})
-                  .validate()
-                  .ok());
-  EXPECT_TRUE(MapperConfig().backend(BackendKind::kHybrid).validate().ok());
-  EXPECT_TRUE(MapperConfig()
-                  .backend(BackendKind::kHybrid)
-                  .hybrid({.window_voxels = 32,
-                           .flush_high_water = 4096,
-                           .back_backend = BackendKind::kOctree})
-                  .validate()
-                  .ok());
-  EXPECT_TRUE(MapperConfig()
-                  .backend(BackendKind::kHybrid)
-                  .hybrid({.back_backend = BackendKind::kTiledWorld})
-                  .world({.directory = "some_dir", .tile_shift = 5})
                   .validate()
                   .ok());
 }

@@ -1,6 +1,6 @@
 // Facade/hand-wired bit-identity: an omu::Mapper session must produce a
 // map bit-identical to the hand-wired setup of the same backend — across
-// octree, accelerator, tiled-world and hybrid modes — and its published
+// octree, accelerator and tiled-world modes — and its published
 // MapViews must answer exactly like the internal snapshot/view types the
 // consumers used to wire themselves.
 #include <gtest/gtest.h>
@@ -155,82 +155,6 @@ TEST(FacadeEquivalence, TiledWorldSessionMatchesHandWired) {
   }
 }
 
-// ---- Hybrid write-absorber sessions -----------------------------------------
-// The hybrid backend's whole contract is that absorbing writes in the
-// dense window costs zero bits: after a flush boundary the session is
-// indistinguishable from one that inserted directly into the back.
-
-TEST(FacadeEquivalence, HybridOverOctreeMatchesDirectSession) {
-  Mapper direct = Mapper::create(MapperConfig().resolution(0.2)).value();
-  Mapper hybrid = Mapper::create(MapperConfig()
-                                     .resolution(0.2)
-                                     .backend(BackendKind::kHybrid)
-                                     .hybrid({.window_voxels = 32}))
-                      .value();
-  stream_into(direct, test_scans());
-  stream_into(hybrid, test_scans());
-  ASSERT_TRUE(hybrid.flush().ok());
-
-  EXPECT_EQ(hybrid.content_hash().value(), direct.content_hash().value());
-  EXPECT_EQ(hybrid.content_hash().value(), reference_tree().content_hash());
-  EXPECT_EQ(hybrid.backend_name(), "hybrid[octree]");
-
-  // The window actually absorbed work (the sweep stays near each origin).
-  const MapperStats stats = hybrid.stats().value();
-  EXPECT_GT(stats.absorber.updates_absorbed, 0u);
-  EXPECT_GT(stats.absorber.window_flushes, 0u);
-  EXPECT_NE(hybrid.internal_hybrid(), nullptr);
-  EXPECT_EQ(direct.internal_hybrid(), nullptr);
-
-  // Facade snapshot published at the flush answers like the direct tree.
-  const MapView view = hybrid.snapshot().value();
-  for (const Vec3& p : probe_positions(reference_tree())) {
-    const map::Occupancy expect = reference_tree().classify(geom::Vec3d{p.x, p.y, p.z});
-    EXPECT_EQ(static_cast<int>(view.classify(p)), static_cast<int>(expect));
-  }
-}
-
-TEST(FacadeEquivalence, HybridOverTiledWorldMatchesDirectSession) {
-  TempDir dir("facade_hybrid_world");
-  Mapper hybrid = Mapper::create(MapperConfig()
-                                     .resolution(0.2)
-                                     .backend(BackendKind::kHybrid)
-                                     .hybrid({.window_voxels = 32,
-                                              .back_backend = BackendKind::kTiledWorld})
-                                     .world({.directory = dir.path(), .tile_shift = 5}))
-                      .value();
-  stream_into(hybrid, test_scans());
-  ASSERT_TRUE(hybrid.flush().ok());
-
-  world::TiledWorldConfig cfg;
-  cfg.resolution = 0.2;
-  cfg.tile_shift = 5;
-  world::TiledWorldMap hand(cfg);
-  stream_into(hand, test_scans());
-  hand.flush();
-
-  EXPECT_EQ(hybrid.content_hash().value(), hand.content_hash());
-  EXPECT_GT(hybrid.stats()->absorber.updates_absorbed, 0u);
-}
-
-// A tiny window under a wide sweep forces constant scrolling: most
-// updates either pass through or get evicted mid-stream. Bit-identity
-// must survive that churn too.
-TEST(FacadeEquivalence, HybridScrollChurnCostsNoBits) {
-  Mapper hybrid = Mapper::create(MapperConfig()
-                                     .resolution(0.2)
-                                     .backend(BackendKind::kHybrid)
-                                     .hybrid({.window_voxels = 8, .flush_high_water = 96}))
-                      .value();
-  stream_into(hybrid, test_scans());
-  ASSERT_TRUE(hybrid.flush().ok());
-
-  EXPECT_EQ(hybrid.content_hash().value(), reference_tree().content_hash());
-  const MapperStats::Absorber a = hybrid.stats()->absorber;
-  EXPECT_GT(a.updates_passed_through, 0u);  // the 1.6 m window cannot hold a scan
-  EXPECT_GT(a.scrolls, 0u);                 // the sweep moves the origin every scan
-}
-
 // ---- insert(ScanView) unification -------------------------------------------
 
 TEST(FacadeEquivalence, InsertScanViewMatchesInsertScan) {
@@ -302,12 +226,13 @@ TEST(FacadeEquivalence, SensorModelPropagatesToEveryBackend) {
 
   Mapper octree = Mapper::create(MapperConfig().resolution(0.2).sensor_model(sm)).value();
   stream_into(octree, test_scans());
-  for (const BackendKind kind : {BackendKind::kAccelerator, BackendKind::kHybrid}) {
-    Mapper other =
-        Mapper::create(MapperConfig().resolution(0.2).sensor_model(sm).backend(kind)).value();
-    stream_into(other, test_scans());
-    EXPECT_EQ(octree.content_hash().value(), other.content_hash().value()) << to_string(kind);
-  }
+  Mapper accelerator = Mapper::create(MapperConfig()
+                                         .resolution(0.2)
+                                         .sensor_model(sm)
+                                         .backend(BackendKind::kAccelerator))
+                           .value();
+  stream_into(accelerator, test_scans());
+  EXPECT_EQ(octree.content_hash().value(), accelerator.content_hash().value());
   // A max_range this short truncates rays, so the map genuinely differs
   // from the default-model reference.
   EXPECT_NE(octree.content_hash().value(), reference_tree().content_hash());

@@ -1,9 +1,9 @@
 // Mapper::telemetry(): the full-session telemetry export. Proves the
 // acceptance contract — the JSON round-trips through the benchkit parser,
 // per-stage latency histograms carry non-zero counts after a real session
-// (ingest + publish on every backend, absorber under hybrid), the trace
-// journal reconstructs a flush timeline, MapperStats is a view over the
-// same named counters, and the post-close read paths fail-precondition.
+// (ingest + publish on every backend), the trace journal reconstructs a
+// flush timeline, MapperStats is a view over the same named counters, and
+// the post-close read paths fail-precondition.
 // Histogram-count assertions are gated on OMU_TELEMETRY_ENABLED: in the
 // compiled-out build the same names exist but carry zero counts.
 #include <gtest/gtest.h>
@@ -67,34 +67,10 @@ TEST(MapperTelemetry, OctreeSessionRecordsIngestAndPublishStages) {
   EXPECT_EQ(published->counter, stats.publication.snapshots_published);
 }
 
-TEST(MapperTelemetry, HybridSessionRecordsAbsorberStages) {
-  Mapper mapper = Mapper::create(MapperConfig()
-                                     .backend(BackendKind::kHybrid)
-                                     .hybrid({.window_voxels = 64}))
-                      .value();
-  stream_into(mapper, test_scans());
-  ASSERT_TRUE(mapper.flush().ok());
-
-  const TelemetrySnapshot snap = mapper.telemetry().value();
-#if OMU_TELEMETRY_ENABLED
-  EXPECT_GT(histogram_count(snap, "ingest.insert_ns"), 0u);
-  EXPECT_GT(histogram_count(snap, "absorber.absorb_ns"), 0u);
-  EXPECT_GT(histogram_count(snap, "absorber.drain_ns"), 0u);
-  EXPECT_GT(histogram_count(snap, "publish.refresh_ns"), 0u);
-#endif
-  // The absorber counters mirror stats().absorber in both builds.
-  const TelemetrySnapshot::Metric* absorbed = snap.find("absorber.updates_absorbed");
-  ASSERT_NE(absorbed, nullptr);
-  EXPECT_EQ(absorbed->counter, mapper.stats()->absorber.updates_absorbed);
-  EXPECT_GT(absorbed->counter, 0u);
-}
-
 TEST(MapperTelemetry, JsonRoundTripsThroughBenchkitParser) {
-  Mapper mapper = Mapper::create(MapperConfig()
-                                     .backend(BackendKind::kHybrid)
-                                     .hybrid({.window_voxels = 64})
-                                     .telemetry({.journal = true, .journal_capacity = 4096}))
-                      .value();
+  Mapper mapper =
+      Mapper::create(MapperConfig().telemetry({.journal = true, .journal_capacity = 4096}))
+          .value();
   stream_into(mapper, test_scans());
   ASSERT_TRUE(mapper.flush().ok());
 
@@ -126,11 +102,9 @@ TEST(MapperTelemetry, JsonRoundTripsThroughBenchkitParser) {
 
 #if OMU_TELEMETRY_ENABLED
 TEST(MapperTelemetry, JournalReconstructsFlushTimeline) {
-  Mapper mapper = Mapper::create(MapperConfig()
-                                     .backend(BackendKind::kHybrid)
-                                     .hybrid({.window_voxels = 64})
-                                     .telemetry({.journal = true, .journal_capacity = 8192}))
-                      .value();
+  Mapper mapper =
+      Mapper::create(MapperConfig().telemetry({.journal = true, .journal_capacity = 8192}))
+          .value();
   stream_into(mapper, test_scans());
   ASSERT_TRUE(mapper.flush().ok());
 
@@ -138,8 +112,8 @@ TEST(MapperTelemetry, JournalReconstructsFlushTimeline) {
   EXPECT_TRUE(snap.journal_enabled);
   ASSERT_FALSE(snap.trace.empty());
 
-  // The full pipeline timeline is present: insert -> absorb -> drain ->
-  // publish, every begin paired with an end of the same span.
+  // The full pipeline timeline is present: insert -> apply -> publish,
+  // every begin paired with an end of the same span.
   std::set<std::string> stages;
   std::set<uint64_t> open;
   for (const TelemetrySnapshot::TraceEvent& event : snap.trace) {
@@ -152,8 +126,7 @@ TEST(MapperTelemetry, JournalReconstructsFlushTimeline) {
   }
   EXPECT_TRUE(open.empty());  // no dangling span at a flush boundary
   EXPECT_TRUE(stages.count("ingest.insert")) << "timeline misses ingest";
-  EXPECT_TRUE(stages.count("absorber.absorb")) << "timeline misses absorb";
-  EXPECT_TRUE(stages.count("absorber.drain")) << "timeline misses drain";
+  EXPECT_TRUE(stages.count("ingest.apply")) << "timeline misses apply";
   EXPECT_TRUE(stages.count("publish.refresh")) << "timeline misses publish";
 }
 #endif  // OMU_TELEMETRY_ENABLED

@@ -75,23 +75,6 @@ TEST(KeyKernels, Packed48MatchesOcKeyPacked) {
   }
 }
 
-TEST(KeyKernels, PackedBatchMatchesElementwise) {
-  SplitMix64 rng(13);
-  for (std::size_t n = 0; n <= 37; ++n) {
-    std::vector<uint16_t> x(n), y(n), z(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] = static_cast<uint16_t>(rng.next_below(0x10000));
-      y[i] = static_cast<uint16_t>(rng.next_below(0x10000));
-      z[i] = static_cast<uint16_t>(rng.next_below(0x10000));
-    }
-    std::vector<uint64_t> packed(n);
-    packed48_batch(x.data(), y.data(), z.data(), n, packed.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(packed[i], packed48(x[i], y[i], z[i])) << "n=" << n << " i=" << i;
-    }
-  }
-}
-
 // ---- Coordinate quantization -----------------------------------------------
 
 TEST(KeyKernels, QuantizeAxisMatchesKeyCoder) {
@@ -290,24 +273,6 @@ TEST(LogOddsKernels, UpdateSaturatesMatchesEarlyAbortCondition) {
   // A zero delta is saturated in both directions.
   EXPECT_TRUE(update_saturates(hi, 0.0f, lo, hi));
   EXPECT_TRUE(update_saturates(lo, 0.0f, lo, hi));
-}
-
-TEST(LogOddsKernels, BatchSaturatingAddMatchesScalar) {
-  SplitMix64 rng(19);
-  const float lo = -2.0f, hi = 3.5f;
-  for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{4},
-                        std::size_t{7}, std::size_t{33}}) {
-    std::vector<float> values_a(n), values_b(n), deltas(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      values_a[i] = values_b[i] = static_cast<float>(rng.uniform(-3.0, 4.5));
-      deltas[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
-    }
-    saturating_add_batch(values_a.data(), deltas.data(), n, lo, hi);
-    saturating_add_batch_scalar(values_b.data(), deltas.data(), n, lo, hi);
-    for (std::size_t i = 0; i < n; ++i) {
-      expect_bits_eq(values_a[i], values_b[i], "batch", i);
-    }
-  }
 }
 
 TEST(SimdToggle, ReportsConsistentConfiguration) {

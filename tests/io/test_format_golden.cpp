@@ -92,18 +92,18 @@ TEST(FormatGolden, InsertFrameBytes) {
   frame.payload = writer.take();
   const std::vector<uint8_t> bytes = service::encode_frame(frame);
   EXPECT_EQ(to_hex(bytes.data(), bytes.size()),
-            "57554d4f0300040088776655443322113c000000070000000000000000000000"
+            "57554d4f0400040088776655443322113c000000070000000000000000000000"
             "0000f03f00000000000004c0000000000000c03f060000000000003f000080bf"
-            "0000004000005040000080400000b0c0c97e0b5b080636ef");
+            "0000004000005040000080400000b0c0c616f3dcc6b844f8");
 }
 
 TEST(FormatGolden, CreateRequestBytes) {
-  // Every SessionSpec field off its default, and the backend bytes name
-  // kHybrid over kTiledWorld, so the pin covers the BackendKind numbering.
+  // Every SessionSpec field off its default, and the backend byte names
+  // kTiledWorld, so the pin covers the BackendKind numbering.
   service::CreateRequest request;
   service::SessionSpec& spec = request.spec;
   spec.tenant = "t1";
-  spec.backend = static_cast<uint8_t>(BackendKind::kHybrid);
+  spec.backend = static_cast<uint8_t>(BackendKind::kTiledWorld);
   spec.resolution = 0.1;
   spec.log_hit = 0.9f;
   spec.log_miss = -0.3f;
@@ -116,9 +116,6 @@ TEST(FormatGolden, CreateRequestBytes) {
   spec.world_directory = "w";
   spec.world_resident_byte_budget = 4096;
   spec.tile_shift = 7;
-  spec.hybrid_window_voxels = 32;
-  spec.hybrid_flush_high_water = 100;
-  spec.hybrid_back_backend = static_cast<uint8_t>(BackendKind::kTiledWorld);
   spec.telemetry_metrics = 0;
   spec.telemetry_journal = 1;
   spec.quota = service::TenantQuota{1 << 20, 5000, 2048};
@@ -130,11 +127,10 @@ TEST(FormatGolden, CreateRequestBytes) {
   frame.payload = writer.take();
   const std::vector<uint8_t> bytes = service::encode_frame(frame);
   EXPECT_EQ(to_hex(bytes.data(), bytes.size()),
-            "57554d4f03000200080706050403020165000000020000007431049a99999999"
+            "57554d4f04000200080706050403020158000000020000007431039a99999999"
             "99b93f6666663f9a9999be0000c0bf000020400000803e000000000000003e40"
-            "0101000000770010000000000000070000002000000064000000000000000300"
-            "01000010000000000088130000000000000008000000000000a8d334ec5b83f7"
-            "94");
+            "0101000000770010000000000000070000000001000010000000000088130000"
+            "0000000000080000000000003e3eba669d197dbf");
 }
 
 TEST(FormatGolden, LeafRecordHash) {

@@ -1,5 +1,5 @@
 // The service's equivalence contract: a map built through omu_client-style
-// RPCs over the loopback wire — octree, tiled-world and hybrid
+// RPCs over the loopback wire — octree, accelerator and tiled-world
 // sessions — is bit-identical (content hash + query answers) to the same
 // stream through the in-process omu::Mapper facade. Floats cross the wire
 // as IEEE-754 bit patterns, so this must hold exactly, not approximately.
@@ -85,6 +85,15 @@ TEST(ServiceSession, OctreeSessionMatchesInProcessFacade) {
   expect_wire_equivalence(spec, omu::MapperConfig().resolution(0.1));
 }
 
+TEST(ServiceSession, AcceleratorSessionMatchesInProcessFacade) {
+  SessionSpec spec;
+  spec.tenant = "accelerator";
+  spec.resolution = 0.1;
+  spec.backend = static_cast<uint8_t>(omu::BackendKind::kAccelerator);
+  expect_wire_equivalence(
+      spec, omu::MapperConfig().resolution(0.1).backend(omu::BackendKind::kAccelerator));
+}
+
 TEST(ServiceSession, TiledWorldSessionMatchesInProcessFacade) {
   TempDir wire_dir("svc_world_wire");
   TempDir ref_dir("svc_world_ref");
@@ -99,18 +108,6 @@ TEST(ServiceSession, TiledWorldSessionMatchesInProcessFacade) {
                 .resolution(0.1)
                 .backend(omu::BackendKind::kTiledWorld)
                 .world({.directory = ref_dir.path(), .tile_shift = 6}));
-}
-
-TEST(ServiceSession, HybridSessionMatchesInProcessFacade) {
-  SessionSpec spec;
-  spec.tenant = "hybrid";
-  spec.resolution = 0.1;
-  spec.backend = static_cast<uint8_t>(omu::BackendKind::kHybrid);
-  spec.hybrid_window_voxels = 64;
-  expect_wire_equivalence(spec, omu::MapperConfig()
-                                    .resolution(0.1)
-                                    .backend(omu::BackendKind::kHybrid)
-                                    .hybrid({.window_voxels = 64}));
 }
 
 TEST(ServiceSession, SavedWorldReopensThroughTheService) {
@@ -189,11 +186,11 @@ TEST(ServiceSession, UnknownBackendByteIsRejectedWhileOtherTenantsKeepServing) {
   ASSERT_TRUE(healthy.insert(*session, scans[0].origin, scans[0].xyz).ok());
 
   // Tenant B: raw create frames whose backend byte names no BackendKind —
-  // 2 is the retired value, 9 was never assigned. Each gets an error reply
-  // on a connection that stays open.
+  // 2 and 4 are the retired values, 9 was never assigned. Each gets an
+  // error reply on a connection that stays open.
   std::unique_ptr<Transport> raw = host.connect();
   uint64_t request_id = 1;
-  for (const uint8_t byte : {uint8_t{2}, uint8_t{9}}) {
+  for (const uint8_t byte : {uint8_t{2}, uint8_t{4}, uint8_t{9}}) {
     CreateRequest request;
     request.spec.tenant = "malformed";
     request.spec.backend = byte;

@@ -155,8 +155,6 @@ TEST(WireProtocol, SessionSpecRoundTrips) {
   spec.world_directory = "/tmp/some/world";
   spec.world_resident_byte_budget = 123456;
   spec.tile_shift = 9;
-  spec.hybrid_window_voxels = 128;
-  spec.hybrid_back_backend = 3;
   spec.telemetry_journal = 1;
   spec.quota = TenantQuota{1 << 20, 5000, 2048};
 
@@ -172,12 +170,10 @@ TEST(WireProtocol, SessionSpecRoundTrips) {
   EXPECT_EQ(back.resolution, spec.resolution);
   EXPECT_EQ(back.log_hit, spec.log_hit);
   EXPECT_EQ(back.max_range, spec.max_range);
-  EXPECT_EQ(back.hybrid_back_backend, spec.hybrid_back_backend);
   EXPECT_EQ(back.telemetry_journal, spec.telemetry_journal);
   EXPECT_EQ(back.world_directory, spec.world_directory);
   EXPECT_EQ(back.world_resident_byte_budget, spec.world_resident_byte_budget);
   EXPECT_EQ(back.tile_shift, spec.tile_shift);
-  EXPECT_EQ(back.hybrid_window_voxels, spec.hybrid_window_voxels);
   EXPECT_EQ(back.quota.max_resident_bytes, spec.quota.max_resident_bytes);
   EXPECT_EQ(back.quota.max_points_per_sec, spec.quota.max_points_per_sec);
   EXPECT_EQ(back.quota.max_points_per_insert, spec.quota.max_points_per_insert);

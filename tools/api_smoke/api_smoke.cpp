@@ -2,7 +2,7 @@
 // but the installed <omu/omu.hpp> surface. Exercises the documented
 // lifecycle — nested builder config (including rejections), insert,
 // flush, snapshot queries, live queries, cross-backend bit-identity
-// (hybrid vs octree), save_map — and exits nonzero on any
+// (accelerator vs octree), save_map — and exits nonzero on any
 // deviation. Compiling this file with no src/ include path is itself
 // the test that the public headers are self-contained.
 #include <omu/omu.hpp>
@@ -69,32 +69,31 @@ int main(int argc, char** argv) {
   }
   {
     Result<Mapper> bad = Mapper::create(
-        MapperConfig().backend(BackendKind::kHybrid).hybrid({.window_voxels = 48}));
-    if (int rc = expect_rejected(bad, "hybrid.window_voxels")) return rc;
+        MapperConfig().backend(BackendKind::kAccelerator).accelerator({.pe_count = 0}));
+    if (int rc = expect_rejected(bad, "accelerator.pe_count")) return rc;
   }
   {
-    Result<Mapper> bad = Mapper::create(MapperConfig().backend(BackendKind::kHybrid).hybrid(
-        {.back_backend = BackendKind::kAccelerator}));
-    if (int rc = expect_rejected(bad, "hybrid.back_backend")) return rc;
+    Result<Mapper> bad = Mapper::create(
+        MapperConfig().backend(BackendKind::kTiledWorld).world({.tile_shift = 0}));
+    if (int rc = expect_rejected(bad, "world.tile_shift")) return rc;
   }
 
-  // ---- Octree and hybrid sessions over the identical stream --------------
+  // ---- Octree and accelerator sessions over the identical stream ---------
   Result<Mapper> octree = Mapper::create(MapperConfig().resolution(0.2));
   if (!octree.ok()) return fail("create(octree)", octree.status());
-  Result<Mapper> hybrid = Mapper::create(
-      MapperConfig().resolution(0.2).backend(BackendKind::kHybrid).hybrid(
-          {.window_voxels = 64, .back_backend = BackendKind::kOctree}));
-  if (!hybrid.ok()) return fail("create(hybrid)", hybrid.status());
+  Result<Mapper> accel =
+      Mapper::create(MapperConfig().resolution(0.2).backend(BackendKind::kAccelerator));
+  if (!accel.ok()) return fail("create(accelerator)", accel.status());
 
   const std::vector<Point> scan = room_scan(2000);
   const Vec3 origin{0.0, 0.0, 0.0};
   if (Status s = octree->insert(scan, origin); !s.ok()) return fail("insert(octree)", s);
-  if (Status s = hybrid->insert(scan, origin); !s.ok()) return fail("insert(hybrid)", s);
+  if (Status s = accel->insert(scan, origin); !s.ok()) return fail("insert(accelerator)", s);
   if (Status s = octree->flush(); !s.ok()) return fail("flush(octree)", s);
-  if (Status s = hybrid->flush(); !s.ok()) return fail("flush(hybrid)", s);
+  if (Status s = accel->flush(); !s.ok()) return fail("flush(accelerator)", s);
 
   // ---- Snapshot + live queries -------------------------------------------
-  Result<MapView> view = hybrid->snapshot();
+  Result<MapView> view = accel->snapshot();
   if (!view.ok()) return fail("snapshot", view.status());
   const Vec3 wall{4.0, 0.0, 0.0};
   const Vec3 mid_room{2.0, 0.0, 0.0};
@@ -121,23 +120,11 @@ int main(int argc, char** argv) {
 
   // ---- Cross-backend bit-identity ----------------------------------------
   Result<uint64_t> h1 = octree->content_hash();
-  Result<uint64_t> h2 = hybrid->content_hash();
+  Result<uint64_t> h2 = accel->content_hash();
   if (!h1.ok() || !h2.ok() || h1.value() != h2.value()) {
-    std::fprintf(stderr, "FAIL: hybrid-absorbed map not bit-identical to octree\n");
+    std::fprintf(stderr, "FAIL: accelerator map not bit-identical to octree\n");
     return 1;
   }
-
-  // ---- The absorber did the work it claims --------------------------------
-  const MapperStats hybrid_stats = hybrid->stats().value();
-  if (hybrid_stats.absorber.updates_absorbed == 0) {
-    std::fprintf(stderr, "FAIL: hybrid session absorbed no updates\n");
-    return 1;
-  }
-  if (hybrid_stats.absorber.window_flushes == 0) {
-    std::fprintf(stderr, "FAIL: hybrid session never flushed its window\n");
-    return 1;
-  }
-  std::cout << hybrid_stats.absorber << "\n";
 
   // ---- Persistence + close ------------------------------------------------
   if (Status s = octree->save_map(map_path); !s.ok()) return fail("save_map", s);
@@ -147,12 +134,13 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const MapperStats stats = hybrid->stats().value();
+  const MapperStats stats = accel->stats().value();
+  std::cout << stats << "\n";
   std::printf("api smoke ok: %llu points -> %llu updates, %zu snapshot leaves, "
               "hash %016llx (%s vs %s)\n",
               static_cast<unsigned long long>(stats.ingest.points_inserted),
               static_cast<unsigned long long>(stats.ingest.voxel_updates), view->leaf_count(),
               static_cast<unsigned long long>(h2.value()), octree->backend_name().c_str(),
-              hybrid->backend_name().c_str());
+              accel->backend_name().c_str());
   return 0;
 }

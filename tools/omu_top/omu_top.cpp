@@ -1,7 +1,7 @@
 // omu_top — render a Mapper telemetry export for humans.
 //
 //   omu_top <telemetry.json>     render a Mapper::telemetry() JSON dump
-//   omu_top --demo [out.json]    run a small instrumented hybrid session
+//   omu_top --demo [out.json]    run a small instrumented octree session
 //                                (journal on), write its telemetry JSON,
 //                                then render it
 //   omu_top --prometheus <url-or-file>
@@ -12,10 +12,10 @@
 //                                per-tenant columns
 //
 // The metrics table groups the hierarchical names by their first segment
-// (ingest / publish / absorber / paging) and shows counters,
+// (ingest / publish / paging) and shows counters,
 // gauges and latency histograms with count, p50/p90/p99 and max. The
 // timeline view reconstructs the traced flush pipeline from the journal's
-// begin/end events (insert -> absorb -> flush -> splice -> publish),
+// begin/end events (insert -> apply -> flush -> splice -> publish),
 // indented by span nesting. Input is parsed with the same benchkit JSON
 // parser CI round-trips Mapper::telemetry() output through.
 #include <algorithm>
@@ -165,19 +165,17 @@ void render_timeline(const Json& doc) {
 
 // ---- Demo session -----------------------------------------------------------
 
-/// Runs a small hybrid mapping session with the journal on and returns its
+/// Runs a small octree mapping session with the journal on and returns its
 /// telemetry JSON: the self-contained way to see omu_top output (and what
 /// CI uploads as the telemetry.json artifact).
 std::string demo_telemetry() {
   using namespace omu;
   Mapper mapper = Mapper::create(MapperConfig()
                                      .resolution(0.2)
-                                     .backend(BackendKind::kHybrid)
-                                     .hybrid({.window_voxels = 64})
                                      .telemetry({.journal = true, .journal_capacity = 4096}))
                       .value();
-  // A sensor circling a 6 m room: endpoints on the wall, origin scrolling
-  // so the absorber both absorbs and scrolls.
+  // A sensor circling a 6 m room: endpoints on the wall, the origin moving
+  // every scan, a flush every eighth scan.
   for (int scan = 0; scan < 24; ++scan) {
     const double phase = 2.0 * 3.14159265358979 * scan / 24.0;
     const Vec3 origin{1.5 * std::cos(phase), 1.5 * std::sin(phase), 0.0};

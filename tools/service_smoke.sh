@@ -43,7 +43,6 @@ done
 
 "$CLIENT" smoke --unix "$DIR/svc.sock" --tenants 4 --scans 12
 "$CLIENT" smoke --unix "$DIR/svc.sock" --tenants 2 --scans 8 --backend world
-"$CLIENT" smoke --unix "$DIR/svc.sock" --tenants 2 --scans 8 --backend hybrid
 
 # Scrape the live HTTP endpoint the server announced and render it.
 METRICS_URL="$(grep -o 'http://[^ ]*' "$DIR/serve.log" | head -1)"
