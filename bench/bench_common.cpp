@@ -1,9 +1,7 @@
 #include "bench_common.hpp"
 
-#include <chrono>
-
-#include "map/occupancy_octree.hpp"
-#include "map/scan_inserter.hpp"
+#include <map>
+#include <utility>
 
 namespace omu::bench {
 
@@ -12,16 +10,11 @@ const harness::ExperimentOptions& bench_options() {
   return options;
 }
 
+namespace {
+
 const harness::ExperimentRunner& experiment_runner() {
   static const harness::ExperimentRunner runner(bench_options());
   return runner;
-}
-
-namespace {
-
-std::map<data::DatasetId, harness::ExperimentResult>& full_run_cache() {
-  static std::map<data::DatasetId, harness::ExperimentResult> cache;
-  return cache;
 }
 
 std::map<std::pair<data::DatasetId, std::string>, harness::ExperimentResult>&
@@ -32,17 +25,8 @@ accel_run_cache() {
 
 }  // namespace
 
-const harness::ExperimentResult& full_run_memo(data::DatasetId id) {
-  auto& cache = full_run_cache();
-  const auto it = cache.find(id);
-  if (it != cache.end()) return it->second;
-  return cache.emplace(id, experiment_runner().run(id)).first->second;
-}
-
 harness::ExperimentResult full_run_timed(data::DatasetId id) {
-  harness::ExperimentResult result = experiment_runner().run(id);
-  full_run_cache()[id] = result;
-  return result;
+  return experiment_runner().run(id);
 }
 
 const harness::ExperimentResult& accel_run_memo(data::DatasetId id,
@@ -72,26 +56,6 @@ const std::vector<data::DatasetScan>& scans_memo(data::DatasetId id) {
   scans.reserve(dataset.scan_count());
   for (std::size_t i = 0; i < dataset.scan_count(); ++i) scans.push_back(dataset.scan(i));
   return cache.emplace(id, std::move(scans)).first->second;
-}
-
-const SerialBaseline& serial_baseline_memo() {
-  static const SerialBaseline baseline = [] {
-    const std::vector<data::DatasetScan>& scans = scans_memo(data::DatasetId::kFr079Corridor);
-    map::OccupancyOctree tree(0.2);
-    map::ScanInserter inserter(tree);
-    SerialBaseline b;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (const data::DatasetScan& scan : scans) {
-      b.total_updates +=
-          inserter.insert_scan(scan.points, scan.pose.translation()).total_updates();
-    }
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    b.scans_per_sec = static_cast<double>(scans.size()) / seconds;
-    b.content_hash = tree.content_hash();
-    return b;
-  }();
-  return baseline;
 }
 
 }  // namespace omu::bench

@@ -8,9 +8,7 @@
 // caches below serve those lookups, always under paused timing.
 #pragma once
 
-#include <functional>
-#include <map>
-#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -41,15 +39,7 @@ inline data::DatasetId dataset_param(const benchkit::State& state) {
 /// Process-wide experiment options (OMU_DATASET_SCALE / OMU_SEED aware).
 const harness::ExperimentOptions& bench_options();
 
-/// Runner over bench_options().
-const harness::ExperimentRunner& experiment_runner();
-
-/// Memoized full three-platform run (cache-only access; call under paused
-/// timing when used for a cross-case reference).
-const harness::ExperimentResult& full_run_memo(data::DatasetId id);
-
-/// Uncached full run (the timed workload of table/figure cases). Also
-/// primes the memo so later cross-references are free.
+/// Full three-platform run (the timed workload of table/figure cases).
 harness::ExperimentResult full_run_timed(data::DatasetId id);
 
 /// Memoized accelerator-only run, keyed by dataset + a caller-chosen
@@ -64,15 +54,5 @@ harness::ExperimentResult accel_run_timed(data::DatasetId id, const std::string&
 
 /// Memoized materialized scan stream of a dataset at bench options.
 const std::vector<data::DatasetScan>& scans_memo(data::DatasetId id);
-
-/// Memoized serial ScanInserter baseline over scans_memo(fr079):
-/// (scans/sec, total voxel updates, content hash). Measured once, on first
-/// use, outside any caller's timed region (callers pause around it).
-struct SerialBaseline {
-  double scans_per_sec = 0.0;
-  uint64_t total_updates = 0;
-  uint64_t content_hash = 0;
-};
-const SerialBaseline& serial_baseline_memo();
 
 }  // namespace omu::bench

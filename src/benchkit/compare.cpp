@@ -72,7 +72,7 @@ CompareReport compare_runs(const RunResult& baseline, const RunResult& current,
   for (const CaseResult& cur : current.cases) {
     CaseDelta d;
     d.name = cur.name;
-    d.current_median_ns = cur.wall_ns.median;
+    d.current_min_ns = cur.wall_ns.min;
     const auto it = base_by_name.find(cur.name);
     if (it == base_by_name.end()) {
       d.status = DeltaStatus::kNew;
@@ -82,15 +82,12 @@ CompareReport compare_runs(const RunResult& baseline, const RunResult& current,
     }
     const CaseResult& base = *it->second;
     base_by_name.erase(it);
-    d.baseline_median_ns = base.wall_ns.median;
+    d.baseline_min_ns = base.wall_ns.min;
 
     // Errors and newly failing checks are regressions even when the
-    // timings are not comparable (skipped baseline, zero median).
-    const bool comparable = !cur.skipped && !base.skipped && d.baseline_median_ns > 0.0;
-    if (comparable) {
-      d.delta_frac =
-          (d.current_median_ns - d.baseline_median_ns) / d.baseline_median_ns;
-    }
+    // timings are not comparable (skipped baseline, zero min).
+    const bool comparable = !cur.skipped && !base.skipped && d.baseline_min_ns > 0.0;
+    if (comparable) d.delta_frac = (d.current_min_ns - d.baseline_min_ns) / d.baseline_min_ns;
     d.detail = newly_failing_checks(base, cur);
     if (!cur.error.empty()) {
       d.status = DeltaStatus::kRegress;
@@ -100,7 +97,8 @@ CompareReport compare_runs(const RunResult& baseline, const RunResult& current,
       d.detail = "newly failing checks: " + d.detail;
     } else if (!comparable) {
       d.status = DeltaStatus::kOk;  // nothing to gate on
-    } else if (d.delta_frac > options.max_regress) {
+    } else if (d.delta_frac >
+               std::max(options.max_regress, base.wall_ns.stddev / d.baseline_min_ns)) {
       d.status = DeltaStatus::kRegress;
     } else if (d.delta_frac > warn) {
       d.status = DeltaStatus::kWarn;
@@ -124,7 +122,7 @@ CompareReport compare_runs(const RunResult& baseline, const RunResult& current,
     CaseDelta d;
     d.name = name;
     d.status = DeltaStatus::kGone;
-    d.baseline_median_ns = base->wall_ns.median;
+    d.baseline_min_ns = base->wall_ns.min;
     ++report.removed;
     report.deltas.push_back(std::move(d));
   }
@@ -135,14 +133,15 @@ CompareReport compare_runs(const RunResult& baseline, const RunResult& current,
 
 void print_compare_report(const CompareReport& report, const CompareOptions& options,
                           std::ostream& os) {
-  harness::TablePrinter table({"benchmark", "baseline (ms)", "current (ms)", "delta", "status"});
+  harness::TablePrinter table(
+      {"benchmark", "baseline min (ms)", "current min (ms)", "delta", "status"});
   for (const CaseDelta& d : report.deltas) {
     const bool both = d.status != DeltaStatus::kNew && d.status != DeltaStatus::kGone;
     std::string status = to_string(d.status);
     if (!d.detail.empty()) status += " (" + d.detail + ")";
     table.add_row({d.name,
-                   d.status != DeltaStatus::kNew ? format_ms(d.baseline_median_ns) : "-",
-                   d.status != DeltaStatus::kGone ? format_ms(d.current_median_ns) : "-",
+                   d.status != DeltaStatus::kNew ? format_ms(d.baseline_min_ns) : "-",
+                   d.status != DeltaStatus::kGone ? format_ms(d.current_min_ns) : "-",
                    both ? signed_percent(d.delta_frac) : "-", status});
   }
   table.print(os);
@@ -155,7 +154,7 @@ void print_compare_report(const CompareReport& report, const CompareOptions& opt
 void print_compare_markdown(const CompareReport& report, const CompareOptions& options,
                             std::ostream& os) {
   os << "### Benchmark comparison\n\n";
-  os << "| benchmark | baseline (ms) | current (ms) | delta | status |\n";
+  os << "| benchmark | baseline min (ms) | current min (ms) | delta | status |\n";
   os << "|---|---:|---:|---:|---|\n";
   for (const CaseDelta& d : report.deltas) {
     const bool both = d.status != DeltaStatus::kNew && d.status != DeltaStatus::kGone;
@@ -166,8 +165,8 @@ void print_compare_markdown(const CompareReport& report, const CompareOptions& o
     std::string status = std::string(to_string(d.status)) + icon;
     if (!d.detail.empty()) status += " (" + d.detail + ")";
     os << "| `" << d.name << "` | "
-       << (d.status != DeltaStatus::kNew ? format_ms(d.baseline_median_ns) : "-") << " | "
-       << (d.status != DeltaStatus::kGone ? format_ms(d.current_median_ns) : "-") << " | "
+       << (d.status != DeltaStatus::kNew ? format_ms(d.baseline_min_ns) : "-") << " | "
+       << (d.status != DeltaStatus::kGone ? format_ms(d.current_min_ns) : "-") << " | "
        << (both ? signed_percent(d.delta_frac) : "-") << " | " << status << " |\n";
   }
   os << "\n**" << report.regressed << " regressed** (threshold "

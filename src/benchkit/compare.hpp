@@ -1,10 +1,12 @@
 // Baseline comparison: the perf gate. Matches current cases against a
-// baseline BENCH.json by full case name and classifies the median-wall-ns
-// delta per case:
+// baseline BENCH.json by full case name and classifies the min-wall-ns
+// delta per case (the fastest repeat is the one host noise disturbs least):
 //   improved  delta < -warn threshold
 //   ok        |delta| <= warn threshold
-//   warn      warn threshold < delta <= max_regress
-//   regress   delta > max_regress
+//   warn      warn threshold < delta <= regress threshold
+//   regress   delta > regress threshold = max(max_regress, the baseline's
+//             own spread stddev / min), so a noisy case needs a larger
+//             slowdown to count
 //   new/gone  present on only one side (never a failure)
 // Checks that regressed from pass to fail are always reported as regress.
 #pragma once
@@ -35,8 +37,8 @@ const char* to_string(DeltaStatus status);
 struct CaseDelta {
   std::string name;
   DeltaStatus status = DeltaStatus::kOk;
-  double baseline_median_ns = 0.0;
-  double current_median_ns = 0.0;
+  double baseline_min_ns = 0.0;
+  double current_min_ns = 0.0;
   double delta_frac = 0.0;  ///< (current - baseline) / baseline
   std::string detail;       ///< e.g. newly failing check names
 };

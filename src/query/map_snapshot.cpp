@@ -223,12 +223,13 @@ std::shared_ptr<const MapSnapshot> MapSnapshot::build(map::MapSnapshotData data,
 }
 
 std::shared_ptr<const MapSnapshot> MapSnapshot::build_incremental(
-    const MapSnapshot& prev, map::MapSnapshotDelta delta, uint64_t epoch, BuildStats* stats) {
+    std::shared_ptr<const MapSnapshot> prev, map::MapSnapshotDelta delta, uint64_t epoch,
+    BuildStats* stats) {
+  if (stats) *stats = BuildStats{};
   if (delta.full) {
     auto snap = build(
         map::MapSnapshotData{std::move(delta.leaves), delta.resolution, delta.params}, epoch);
     if (stats) {
-      *stats = BuildStats{};
       for (int b = 0; b < 8; ++b) {
         if (const auto chunk = snap->branch_chunk(b)) {
           stats->chunks_rebuilt++;
@@ -238,7 +239,11 @@ std::shared_ptr<const MapSnapshot> MapSnapshot::build_incremental(
     }
     return snap;
   }
-  if (prev.root_.kind == NodeKind::kLeaf && delta.dirty_mask != 0xFF) {
+  if (prev == nullptr) {
+    throw std::logic_error("MapSnapshot::build_incremental: partial delta without a base");
+  }
+  if (delta.dirty_mask == 0) return prev;  // nothing changed since prev's harvest
+  if (prev->root_.kind == NodeKind::kLeaf && delta.dirty_mask != 0xFF) {
     // A collapsed previous epoch has no chunks to splice from; backends
     // guarantee a full (or all-dirty) export whenever the root was or is a
     // leaf, so a partial delta here is a caller bug.
@@ -264,7 +269,7 @@ std::shared_ptr<const MapSnapshot> MapSnapshot::build_incremental(
         local.bytes_rebuilt += snap->chunks_[bi]->memory_bytes();
       }
     } else {
-      snap->chunks_[bi] = prev.chunks_[bi];
+      snap->chunks_[bi] = prev->chunks_[bi];
       if (snap->chunks_[bi]) {
         local.chunks_reused++;
         local.bytes_reused += snap->chunks_[bi]->memory_bytes();

@@ -39,6 +39,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "geom/aabb.hpp"
@@ -75,7 +76,7 @@ struct SnapshotNodeProbe {
 /// all query methods are const and safe to call from any number of threads
 /// concurrently. Always held by shared_ptr (see build) so readers keep a
 /// snapshot alive across a concurrent publication of its successor.
-class MapSnapshot {
+class MapSnapshot : public std::enable_shared_from_this<MapSnapshot> {
  public:
   /// One depth level of one first-level branch: parallel arrays of node
   /// keys and values. A key is geom::kernels::morton48 of the node's
@@ -131,19 +132,27 @@ class MapSnapshot {
   /// publication sequence number (see QueryService).
   static std::shared_ptr<const MapSnapshot> build(map::MapSnapshotData data, uint64_t epoch = 0);
 
-  /// Incremental build: rebuilds only the branches `delta` marks dirty and
-  /// shares every other chunk with `prev` — O(changed) time and fresh
-  /// memory. `prev` must be the snapshot built from the delta source's
-  /// previous harvest (the QueryService tracks this pairing). A full delta
-  /// degrades to build(). Produces bit-identical query answers and
-  /// flattened arrays to a full rebuild of the same backend state,
-  /// including the backend's root-collapse normalization: when all eight
-  /// spliced branches are a single equal-valued depth-1 leaf — the state
-  /// in which the octree's export prunes to one depth-0 record — the
-  /// result collapses the same way.
+  /// The one publication build, deciding no-op, splice or full rebuild:
+  /// an empty delta returns `prev` itself (nothing to publish); a partial
+  /// delta rebuilds only the branches it marks dirty and shares every
+  /// other chunk with `prev` — O(changed) time and fresh memory; a full
+  /// delta is a build() and ignores `prev`. `prev` must be the snapshot
+  /// built from the delta source's previous harvest (the publishers track
+  /// this pairing); it may be null only for a full delta. Produces
+  /// bit-identical query answers and flattened arrays to a full rebuild
+  /// of the same backend state, including the backend's root-collapse
+  /// normalization: when all eight spliced branches are a single
+  /// equal-valued depth-1 leaf — the state in which the octree's export
+  /// prunes to one depth-0 record — the result collapses the same way.
+  static std::shared_ptr<const MapSnapshot> build_incremental(
+      std::shared_ptr<const MapSnapshot> prev, map::MapSnapshotDelta delta, uint64_t epoch,
+      BuildStats* stats = nullptr);
+  /// The same, for a caller holding `prev` by reference.
   static std::shared_ptr<const MapSnapshot> build_incremental(
       const MapSnapshot& prev, map::MapSnapshotDelta delta, uint64_t epoch,
-      BuildStats* stats = nullptr);
+      BuildStats* stats = nullptr) {
+    return build_incremental(prev.shared_from_this(), std::move(delta), epoch, stats);
+  }
 
   /// Convenience: flushes the backend and snapshots its current content.
   static std::shared_ptr<const MapSnapshot> capture(map::MapBackend& backend, uint64_t epoch = 0);

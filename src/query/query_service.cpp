@@ -83,45 +83,31 @@ SnapshotPublishStats QueryService::publish_stats() const {
 
 uint64_t QueryService::publish_locked(map::MapSnapshotDelta delta, const void* source) {
   const uint64_t generation = delta.generation;
-  if (!delta.full && delta.dirty_mask == 0) {
+  const uint64_t epoch = publications_.load(std::memory_order_relaxed) + 1;
+  // Only the source's own base can take a partial delta; refresh_from asks
+  // any other source for generation 0, which answers full.
+  const std::shared_ptr<const MapSnapshot> prev = delta_source_ == source ? delta_base_ : nullptr;
+  MapSnapshot::BuildStats build_stats;
+  std::shared_ptr<const MapSnapshot> next;
+  {
+    obs::TraceSpan span(delta.full ? build_ns_ : splice_ns_, journal_,
+                        delta.full ? "publish.build" : "publish.splice");
+    next = MapSnapshot::build_incremental(prev, std::move(delta), epoch, &build_stats);
+  }
+  delta_source_ = source;
+  delta_generation_ = generation;
+  if (next == prev) {
     // Nothing changed since this source's last delta: publish-free no-op.
     // Readers keep the current epoch and all its chunks.
     publish_stats_.noop_refreshes++;
-    if (delta_source_ == source) delta_generation_ = generation;
     return publications_.load(std::memory_order_relaxed);
   }
-
-  const uint64_t epoch = publications_.load(std::memory_order_relaxed) + 1;
-  MapSnapshot::BuildStats build_stats;
-  std::shared_ptr<const MapSnapshot> next;
-  if (delta.full || delta_source_ != source || !delta_base_) {
-    if (!delta.full) {
-      // refresh_from asks for generation 0 without a pairing, which forces
-      // the backend to answer full — an incremental delta here is a
-      // backend bug.
-      throw std::logic_error("QueryService::refresh_from: incremental delta without a base");
-    }
-    obs::TraceSpan span(build_ns_, journal_, "publish.build");
-    next = MapSnapshot::build(
-        map::MapSnapshotData{std::move(delta.leaves), delta.resolution, delta.params}, epoch);
-    for (int b = 0; b < 8; ++b) {
-      if (const auto chunk = next->branch_chunk(b)) {
-        build_stats.chunks_rebuilt++;
-        build_stats.bytes_rebuilt += chunk->memory_bytes();
-      }
-    }
-  } else {
-    obs::TraceSpan span(splice_ns_, journal_, "publish.splice");
-    next = MapSnapshot::build_incremental(*delta_base_, std::move(delta), epoch, &build_stats);
-    publish_stats_.incremental_publications++;
-  }
+  if (build_stats.incremental) publish_stats_.incremental_publications++;
   publish_stats_.chunks_reused += build_stats.chunks_reused;
   publish_stats_.chunks_rebuilt += build_stats.chunks_rebuilt;
   publish_stats_.bytes_reused += build_stats.bytes_reused;
   publish_stats_.bytes_rebuilt += build_stats.bytes_rebuilt;
 
-  delta_source_ = source;
-  delta_generation_ = generation;
   delta_base_ = next;
   swap_in(next);
   publications_.store(epoch, std::memory_order_release);

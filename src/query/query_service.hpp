@@ -123,8 +123,9 @@ class QueryService {
 
   /// Resolves the publication instrumentation handles: "publish.refresh_ns"
   /// around each refresh_from publication (export + build + swap, after
-  /// the backend flush), "publish.splice_ns" around each incremental
-  /// splice build, and "publish.build_ns" around each full rebuild. Null
+  /// the backend flush), "publish.splice_ns" around each partial delta's
+  /// build (a splice, or a no-op when nothing changed), and
+  /// "publish.build_ns" around each full rebuild. Null
   /// detaches. Takes the publish mutex; safe any time.
   void set_telemetry(obs::Telemetry* telemetry);
 

@@ -8,7 +8,6 @@
 #include <sstream>
 #include <utility>
 
-#include "geom/kernels/key_kernels.hpp"
 #include "map/occupancy_octree.hpp"
 #include "query/map_snapshot.hpp"
 #include "query/query_service.hpp"
@@ -73,15 +72,9 @@ struct MapService::Subscriber {
   uint64_t last_epoch = 0;
 };
 
-/// One published unit of a session — a snapshot chunk or a tile — and its
-/// leaf run in Morton order. Holding the identity pins the chunk / tile
-/// snapshot, so pointer identity across epochs is exact (no allocator
-/// ABA) and the run stays valid to diff the next epoch against.
-struct MapService::PublishedUnit {
-  std::shared_ptr<const void> identity;
-  /// Aliases the chunk that owns the run, or owns a Morton-sorted copy.
-  std::shared_ptr<const std::vector<map::LeafRecord>> run;
-};
+/// A published unit of a session: one snapshot chunk, whose leaves() is
+/// its branch's leaf run in Morton order.
+using PublishedChunk = std::shared_ptr<const query::MapSnapshot::Chunk>;
 
 struct MapService::Session {
   uint64_t id = 0;
@@ -98,9 +91,11 @@ struct MapService::Session {
   // Delta-publication state: the epoch counter (it advances only when a
   // unit's identity changes), the units of the last published state and,
   // while some subscriber wants the digest (`hashed`), the shard_hash() of
-  // every block in it, by block key.
+  // every block in it, by block key. Holding a chunk pins it, so pointer
+  // identity across epochs is exact (no allocator ABA) and its run stays
+  // valid to diff the next epoch against.
   uint64_t epoch = 0;
-  std::map<uint64_t, PublishedUnit> last_units;
+  std::map<uint64_t, PublishedChunk> last_units;
   std::map<uint64_t, uint64_t> block_hashes;
   bool hashed = false;
   std::vector<Subscriber> subscribers;
@@ -696,19 +691,6 @@ namespace {
 
 using LeafRun = std::span<const map::LeafRecord>;
 
-/// A run sorted into Morton order (Morton code, then depth).
-std::vector<map::LeafRecord> morton_sorted(std::vector<map::LeafRecord> run) {
-  const auto morton = [](const map::LeafRecord& leaf) {
-    return geom::kernels::morton48(leaf.key[0], leaf.key[1], leaf.key[2]);
-  };
-  std::sort(run.begin(), run.end(), [&](const map::LeafRecord& a, const map::LeafRecord& b) {
-    const uint64_t ma = morton(a);
-    const uint64_t mb = morton(b);
-    return ma != mb ? ma < mb : a.depth < b.depth;
-  });
-  return run;
-}
-
 /// Diffs one unit's previous run against its new run, depth-`depth` block
 /// by block: new blocks and blocks whose leaves differ go to `changed`,
 /// the keys of vanished blocks to `removed`. Both runs are Morton-ordered,
@@ -737,52 +719,29 @@ uint64_t MapService::broadcast_deltas(Session& session) {
   if (session.subscribers.empty()) return session.epoch;
   const uint64_t t0 = delta_publish_ns_ != nullptr ? now_ns() : 0;
 
-  // The published units: snapshot chunks by branch index, or tiles by
-  // TileId. Either way the run keeps global keys, and a shard never spans
-  // units, so block keys never collide across units: a tile smaller than
-  // a depth-kBlockDepth block is sharded by its own root instead.
-  std::map<uint64_t, PublishedUnit> current;
+  // The published units: snapshot chunks keyed by (tile, first-level
+  // branch); a session without tiles is tile 0. A chunk's leaves() is its
+  // branch's run in Morton order, with global keys, and a shard never
+  // spans units, so block keys never collide across units: a tile smaller
+  // than a depth-kBlockDepth block is sharded by its own root instead.
+  std::map<uint64_t, PublishedChunk> current;
+  const auto add_units = [&](uint64_t tile, const query::MapSnapshot& snapshot) {
+    for (int branch = 0; branch < 8; ++branch) {
+      PublishedChunk chunk = snapshot.branch_chunk(branch);
+      if (chunk != nullptr && !chunk->leaves().empty()) {
+        current.emplace(tile << 3 | static_cast<uint64_t>(branch), std::move(chunk));
+      }
+    }
+  };
   int depth = kBlockDepth;
   if (world::TiledWorldMap* world = session.mapper->internal_world()) {
     depth = std::max(kBlockDepth, world->grid().tile_depth());
     const auto view = world->capture_view();
     for (const world::TileId id : view->tile_ids()) {
-      auto tile = view->tile_snapshot(id);
-      if (tile == nullptr || tile->empty()) continue;
-      const auto last = session.last_units.find(id);
-      if (last != session.last_units.end() && last->second.identity == tile) {
-        current.emplace(id, last->second);
-        continue;
-      }
-      // A tile of tile_shift < kTreeDepth lies inside one first-level
-      // branch, so its one chunk run is the tile's leaves in Morton order:
-      // no flat copy is built. The one tile of tile_shift == kTreeDepth
-      // spans every branch; its leaves are Morton-sorted here, a copy and
-      // sort of the whole map each epoch that changes it.
-      std::shared_ptr<const std::vector<map::LeafRecord>> run;
-      int chunks = 0;
-      for (int branch = 0; branch < 8; ++branch) {
-        if (const auto chunk = tile->branch_chunk(branch)) {
-          run = std::shared_ptr<const std::vector<map::LeafRecord>>(chunk, &chunk->leaves());
-          ++chunks;
-        }
-      }
-      if (chunks != 1) {
-        run = std::make_shared<const std::vector<map::LeafRecord>>(morton_sorted(tile->leaves()));
-      }
-      current.emplace(id, PublishedUnit{std::move(tile), std::move(run)});
+      if (const auto tile = view->tile_snapshot(id)) add_units(id, *tile);
     }
   } else if (query::QueryService* qs = session.mapper->internal_query_service()) {
-    const auto snapshot = qs->snapshot();
-    if (snapshot != nullptr) {
-      for (int branch = 0; branch < 8; ++branch) {
-        auto chunk = snapshot->branch_chunk(branch);
-        if (chunk == nullptr || chunk->leaves().empty()) continue;
-        std::shared_ptr<const std::vector<map::LeafRecord>> run(chunk, &chunk->leaves());
-        current.emplace(static_cast<uint64_t>(branch),
-                        PublishedUnit{std::move(chunk), std::move(run)});
-      }
-    }
+    if (const auto snapshot = qs->snapshot()) add_units(0, *snapshot);
   }
 
   // Only a unit whose identity changed is diffed, block by block, against
@@ -794,9 +753,9 @@ uint64_t MapService::broadcast_deltas(Session& session) {
   for (const auto& [key, unit] : current) {
     const auto last = session.last_units.find(key);
     if (last == session.last_units.end()) {
-      diff_blocks({}, *unit.run, depth, changed, removed);
-    } else if (last->second.identity != unit.identity) {
-      diff_blocks(*last->second.run, *unit.run, depth, changed, removed);
+      diff_blocks({}, unit->leaves(), depth, changed, removed);
+    } else if (last->second != unit) {
+      diff_blocks(last->second->leaves(), unit->leaves(), depth, changed, removed);
     } else {
       continue;
     }
@@ -804,7 +763,7 @@ uint64_t MapService::broadcast_deltas(Session& session) {
   }
   for (const auto& [key, unit] : session.last_units) {
     if (current.contains(key)) continue;
-    diff_blocks(*unit.run, {}, depth, changed, removed);
+    diff_blocks(unit->leaves(), {}, depth, changed, removed);
     state_changed = true;
   }
   if (state_changed) ++session.epoch;
@@ -828,7 +787,7 @@ uint64_t MapService::broadcast_deltas(Session& session) {
       }
     } else {
       for (const auto& [key, unit] : current) {
-        for_each_block(*unit.run, depth, [&](uint64_t block, LeafRun leaves) {
+        for_each_block(unit->leaves(), depth, [&](uint64_t block, LeafRun leaves) {
           session.block_hashes[block] = shard_hash(leaves);
         });
       }
@@ -851,7 +810,7 @@ uint64_t MapService::broadcast_deltas(Session& session) {
     }
     if (baseline && every_block.empty()) {
       for (const auto& [key, unit] : current) {
-        for_each_block(*unit.run, depth, [&](uint64_t block, LeafRun leaves) {
+        for_each_block(unit->leaves(), depth, [&](uint64_t block, LeafRun leaves) {
           every_block.push_back(BlockSlice{block, leaves});
         });
       }

@@ -119,7 +119,6 @@ class MapService {
   struct Connection;
   struct Subscriber;
   struct Session;
-  struct PublishedUnit;
 
   /// Reader loop of one connection: frames in, dispatch, reply.
   void connection_loop(std::shared_ptr<Connection> conn);

@@ -204,55 +204,41 @@ std::shared_ptr<const WorldQueryView> TiledWorldMap::capture_view_locked() {
       prev_generation = cached->second.delta_generation;
     }
 
-    std::shared_ptr<const query::MapSnapshot> snapshot;
-    if (prev != nullptr && cached->second.version == version) {
-      // Unchanged tile still alive through some view: share it outright.
-      snapshot = prev;
-      view_stats_.tiles_reused++;
-      view_stats_.bytes_reused += snapshot->memory_bytes();
-    } else if (map::TileBackend* tile = pager_.resident_backend(id)) {
-      tile->backend().flush();
-      // Branch-level splice within the changed tile: export only the
-      // first-level branches touched since the cached snapshot's harvest.
-      // An evicted-and-reloaded tile has a fresh backend whose generation
-      // cannot match, so it answers full — eviction forces a rebuild.
-      map::MapSnapshotDelta delta =
-          tile->backend().export_snapshot_delta(prev != nullptr ? prev_generation : 0);
-      const uint64_t generation = delta.generation;
-      if (!delta.full && delta.dirty_mask == 0 && prev != nullptr) {
-        // The tile's version moved but its content did not (saturated
-        // updates): keep sharing the previous snapshot.
-        snapshot = prev;
-        view_stats_.tiles_reused++;
-        view_stats_.bytes_reused += snapshot->memory_bytes();
-      } else if (!delta.full && prev != nullptr) {
-        query::MapSnapshot::BuildStats bstats;
-        snapshot = query::MapSnapshot::build_incremental(*prev, std::move(delta), version, &bstats);
-        view_stats_.tiles_spliced++;
+    std::shared_ptr<const query::MapSnapshot> snapshot = prev;
+    if (prev == nullptr || cached->second.version != version) {
+      map::MapSnapshotDelta delta;
+      uint64_t generation = 0;
+      if (map::TileBackend* tile = pager_.resident_backend(id)) {
+        tile->backend().flush();
+        // Branch-level splice within the changed tile: export only the
+        // first-level branches touched since the cached snapshot's harvest.
+        // An evicted-and-reloaded tile has a fresh backend whose generation
+        // cannot match, so it answers full — eviction forces a rebuild.
+        delta = tile->backend().export_snapshot_delta(prev != nullptr ? prev_generation : 0);
+        generation = delta.generation;
+      } else {
+        // On-demand load of an evicted tile, off-residency: the snapshot is
+        // read-side memory, not a paged-in tile. Full export — a transient
+        // copy has no dirty accumulator history, so generation 0 answers
+        // full (in DFS order, which the build folds without a sort) and
+        // caching generation 0 forces the next resident export full too.
+        delta = pager_.read_transient(id)->backend().export_snapshot_delta(0);
+      }
+      // A tile whose version moved but whose content did not (saturated
+      // updates) gets `prev` back and keeps sharing it.
+      query::MapSnapshot::BuildStats bstats;
+      snapshot = query::MapSnapshot::build_incremental(prev, std::move(delta), version, &bstats);
+      if (snapshot != prev) {
+        (bstats.incremental ? view_stats_.tiles_spliced : view_stats_.tiles_rebuilt)++;
         view_stats_.bytes_reused += bstats.bytes_reused;
         view_stats_.bytes_rebuilt += bstats.bytes_rebuilt;
-      } else {
-        snapshot = query::MapSnapshot::build(
-            map::MapSnapshotData{std::move(delta.leaves), delta.resolution, delta.params},
-            version);
-        view_stats_.tiles_rebuilt++;
-        view_stats_.bytes_rebuilt += snapshot->memory_bytes();
       }
       snapshot_cache_[id] = CachedSnapshot{snapshot, version, generation};
-    } else {
-      // On-demand load of an evicted tile, off-residency: the snapshot is
-      // read-side memory, not a paged-in tile. Full export — a transient
-      // copy has no dirty accumulator history, so generation 0 answers
-      // full (in DFS order, which the build folds without a sort) and
-      // forces the next resident export to answer full too.
-      const std::unique_ptr<map::TileBackend> tile_copy = pager_.read_transient(id);
-      map::MapSnapshotDelta delta = tile_copy->backend().export_snapshot_delta(0);
-      snapshot = query::MapSnapshot::build(
-          map::MapSnapshotData{std::move(delta.leaves), delta.resolution, delta.params},
-          version);
-      view_stats_.tiles_rebuilt++;
-      view_stats_.bytes_rebuilt += snapshot->memory_bytes();
-      snapshot_cache_[id] = CachedSnapshot{snapshot, version, 0};
+    }
+    if (snapshot == prev) {
+      // Unchanged tile still alive through some view: share it outright.
+      view_stats_.tiles_reused++;
+      view_stats_.bytes_reused += snapshot->memory_bytes();
     }
     tiles.emplace_back(id, std::move(snapshot));
   }

@@ -1,6 +1,6 @@
-// Regression comparator: pass/warn/fail classification on synthetic
-// baselines, threshold parsing, and the result JSON round-trip the
-// comparator depends on.
+// Regression comparator: pass/warn/fail classification of min wall times
+// on synthetic baselines, the baseline-spread noise floor, threshold
+// parsing, and the result JSON round-trip the comparator depends on.
 #include "benchkit/compare.hpp"
 
 #include <gtest/gtest.h>
@@ -12,17 +12,17 @@
 namespace omu::benchkit {
 namespace {
 
-CaseResult make_case(const std::string& name, double median_ns) {
+CaseResult make_case(const std::string& name, double min_ns) {
   CaseResult c;
   c.name = name;
   c.family = name.substr(0, name.find('/'));
   c.repeats = 3;
   c.wall_ns.n = 3;
-  c.wall_ns.median = median_ns;
-  c.wall_ns.min = median_ns * 0.9;
-  c.wall_ns.max = median_ns * 1.1;
-  c.wall_ns.mean = median_ns;
-  c.wall_ns.p90 = median_ns * 1.05;
+  c.wall_ns.min = min_ns;
+  c.wall_ns.median = min_ns * 1.1;
+  c.wall_ns.max = min_ns * 1.2;
+  c.wall_ns.mean = min_ns * 1.1;
+  c.wall_ns.p90 = min_ns * 1.15;
   c.items = 1000;
   return c;
 }
@@ -81,6 +81,28 @@ TEST(BenchkitCompare, ClassifiesPassWarnFail) {
   EXPECT_EQ(report.improved, 1u);
   EXPECT_EQ(report.ok, 1u);
   EXPECT_NEAR(find_delta(report, "slow")->delta_frac, 0.25, 1e-12);
+}
+
+TEST(BenchkitCompare, ComparesMinAboveTheBaselinesOwnSpread) {
+  CompareOptions options;
+  options.max_regress = 0.10;
+  CaseResult noisy = make_case("noisy", 100.0);
+  noisy.wall_ns.stddev = 30.0;  // the baseline spreads 30% of its min
+  CaseResult quiet = make_case("quiet", 100.0);
+  quiet.wall_ns.stddev = 2.0;  // below max_regress, which then holds
+  CaseResult jittery = make_case("jittery", 100.0);
+  jittery.wall_ns.median = 300.0;  // slow repeats, the same fastest one
+  const RunResult base = make_run({noisy, quiet, make_case("jittery", 100.0)});
+  const RunResult current =
+      make_run({make_case("noisy", 125.0), make_case("quiet", 125.0), jittery});
+  const CompareReport report = compare_runs(base, current, options);
+  EXPECT_EQ(find_delta(report, "noisy")->status, DeltaStatus::kWarn);  // inside its spread
+  EXPECT_EQ(find_delta(report, "quiet")->status, DeltaStatus::kRegress);
+  EXPECT_EQ(find_delta(report, "jittery")->status, DeltaStatus::kOk);
+
+  const CompareReport beyond =
+      compare_runs(make_run({noisy}), make_run({make_case("noisy", 140.0)}), options);
+  EXPECT_EQ(find_delta(beyond, "noisy")->status, DeltaStatus::kRegress);
 }
 
 TEST(BenchkitCompare, CustomWarnThreshold) {
@@ -165,7 +187,7 @@ TEST(BenchkitCompare, SurvivesJsonRoundTrip) {
   ASSERT_EQ(reloaded.cases.size(), 2u);
   EXPECT_EQ(reloaded.cases[0].name, "fam/x:1");
   EXPECT_EQ(reloaded.cases[0].family, "fam");
-  EXPECT_DOUBLE_EQ(reloaded.cases[0].wall_ns.median, 1234.5);
+  EXPECT_DOUBLE_EQ(reloaded.cases[0].wall_ns.min, 1234.5);
   EXPECT_DOUBLE_EQ(reloaded.cases[0].counters.at("fps"), 60.0);
   EXPECT_TRUE(reloaded.cases[0].checks.at("shape"));
   ASSERT_EQ(reloaded.cases[0].params.size(), 1u);

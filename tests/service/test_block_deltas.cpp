@@ -446,7 +446,7 @@ TEST(BlockDeltas, WorldTilesSmallerThanABlockShardByTile) {
 }
 
 // One tile spanning the whole key space holds a chunk per first-level
-// branch, so its leaves are Morton-sorted into one run before the split.
+// branch, so it publishes eight units, each its chunk's own Morton run.
 TEST(BlockDeltas, WorldSingleTileSpanningEveryBranch) {
   expect_world_mirror_tracks_server(map::kTreeDepth, 8, 120);
 }

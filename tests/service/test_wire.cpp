@@ -224,7 +224,7 @@ TEST(WireProtocol, DeltaEventRoundTripsLeafRuns) {
 
 TEST(WireProtocol, LeafRunIsCountPlusElevenBytesPerLeaf) {
   // A run on the wire is a u32 count and kLeafRecordWireBytes per leaf;
-  // bench/service.cpp prices a full rebroadcast by that figure.
+  // the decoder bounds a run's count by that figure.
   ASSERT_EQ(kLeafRecordWireBytes, 11u);
   DeltaEvent event;
   WireWriter no_shards;
